@@ -42,10 +42,6 @@ from .values import BOTTOM, EMPTY, INFINITY, Capsule, Closure, Env, Pair
 _level_depth = 0
 
 
-def current_level() -> int:
-    return _level_depth
-
-
 def _enter_level() -> int:
     global _level_depth
     _level_depth += 1
@@ -113,10 +109,6 @@ class FlatSensitivity:
 
 _AD = (Dual, TapeCell)
 _NUMERIC_LEAF = (float, Dual, TapeCell)
-
-
-def level_of(v) -> int:
-    return v.level if isinstance(v, _AD) else 0
 
 
 def deep_primal(v):

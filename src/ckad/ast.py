@@ -239,14 +239,15 @@ class LimitCheck(Expr):
 
 
 class HostOp(Expr):
-    """An AD operator site inside converted code: ``which`` is one of
-    ``"j*"``, ``"*j"``, ``"checkpoint-*j"``."""
+    """An AD operator site inside converted code: ``form`` is the source
+    operator's tag (``T_FORWARD_J``, ``T_REVERSE_J`` or
+    ``T_CHECKPOINT_J``)."""
 
-    __slots__ = ("which", "e1", "e2", "e3")
+    __slots__ = ("form", "e1", "e2", "e3")
     TAG = T_HOSTOP
 
-    def __init__(self, which: str, e1: Expr, e2: Expr, e3: Expr):
-        self.which = which
+    def __init__(self, form: int, e1: Expr, e2: Expr, e3: Expr):
+        self.form = form
         self.e1 = e1
         self.e2 = e2
         self.e3 = e3
@@ -349,6 +350,10 @@ def _fv(e: Expr, bound: frozenset, acc: dict) -> None:
 
 # -- pretty printing ---------------------------------------------------------
 
+_AD_NAME = {T_FORWARD_J: "j*", T_REVERSE_J: "*j",
+            T_CHECKPOINT_J: "checkpoint-*j"}
+
+
 def to_sexpr(e: Expr) -> str:
     tag = e.TAG
     if tag == T_CONST:
@@ -374,12 +379,8 @@ def to_sexpr(e: Expr) -> str:
         return f"({e.op} {to_sexpr(e.arg)})"
     if tag == T_BINARY:
         return f"({e.op} {to_sexpr(e.left)} {to_sexpr(e.right)})"
-    if tag == T_FORWARD_J:
-        return f"(j* {to_sexpr(e.e1)} {to_sexpr(e.e2)} {to_sexpr(e.e3)})"
-    if tag == T_REVERSE_J:
-        return f"(*j {to_sexpr(e.e1)} {to_sexpr(e.e2)} {to_sexpr(e.e3)})"
-    if tag == T_CHECKPOINT_J:
-        return (f"(checkpoint-*j {to_sexpr(e.e1)} {to_sexpr(e.e2)} "
+    if tag in _AD_NAME:
+        return (f"({_AD_NAME[tag]} {to_sexpr(e.e1)} {to_sexpr(e.e2)} "
                 f"{to_sexpr(e.e3)})")
     if tag == T_INTERRUPT:
         return f"(interrupt {to_sexpr(e.e1)} {to_sexpr(e.e2)} {to_sexpr(e.e3)})"
@@ -399,7 +400,7 @@ def to_sexpr(e: Expr) -> str:
         return (f"(limit-check {to_sexpr(e.n_expr)} {to_sexpr(e.l_expr)} "
                 f"{to_sexpr(e.body)})")
     if tag == T_HOSTOP:
-        return (f"({e.which} {to_sexpr(e.e1)} {to_sexpr(e.e2)} "
+        return (f"({_AD_NAME[e.form]} {to_sexpr(e.e1)} {to_sexpr(e.e2)} "
                 f"{to_sexpr(e.e3)})")
     raise TypeError(f"unknown expression node: {e!r}")
 
@@ -440,43 +441,3 @@ def node_count(e: Expr) -> int:
     if tag == T_HOSTOP:
         return 1 + node_count(e.e1) + node_count(e.e2) + node_count(e.e3)
     raise TypeError(f"unknown expression node: {e!r}")
-
-
-def contains_tag(e: Expr, tags: set) -> bool:
-    """Whether any node in ``e`` has a TAG in ``tags``."""
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        tag = node.TAG
-        if tag in tags:
-            return True
-        if tag == T_LAMBDA:
-            stack.append(node.body)
-        elif tag == T_APP:
-            stack.append(node.fn)
-            stack.append(node.arg)
-        elif tag == T_IF:
-            stack.append(node.cond)
-            stack.append(node.then)
-            stack.append(node.alt)
-        elif tag == T_UNARY:
-            stack.append(node.arg)
-        elif tag == T_BINARY:
-            stack.append(node.left)
-            stack.append(node.right)
-        elif tag in (T_FORWARD_J, T_REVERSE_J, T_CHECKPOINT_J, T_INTERRUPT,
-                     T_HOSTOP):
-            stack.append(node.e1)
-            stack.append(node.e2)
-            stack.append(node.e3)
-        elif tag == T_RESUME:
-            stack.append(node.arg)
-        elif tag in (T_LAMBDA3, T_LAMBDA4):
-            stack.append(node.body)
-        elif tag == T_APP3:
-            stack.extend((node.fn, node.n, node.l, node.arg))
-        elif tag == T_APP4:
-            stack.extend((node.fn, node.k, node.n, node.l, node.arg))
-        elif tag == T_LIMIT:
-            stack.extend((node.k_expr, node.n_expr, node.l_expr, node.body))
-    return False

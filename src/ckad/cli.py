@@ -22,7 +22,7 @@ import sys
 import click
 
 from .bench import BenchmarkParams, build_example_program, execute_program
-from .drivers import RunConfig, parse_criterion
+from .drivers import CONFIG_CHOICES, RunConfig, parse_criterion
 from .errors import CkadError
 from .metrics import CSV_COLUMNS, METER, RunMetrics
 from .parser import parse_program
@@ -69,12 +69,12 @@ def _config(mode, algorithm, split, criterion, alpha) -> RunConfig:
 
 
 _COMMON = [
-    click.option("--mode", type=click.Choice(["reverse", "checkpoint"]),
+    click.option("--mode", type=click.Choice(CONFIG_CHOICES["mode"]),
                  default="checkpoint", show_default=True),
     click.option("--algorithm",
-                 type=click.Choice(["binary", "treeverse", "bisect"]),
+                 type=click.Choice(CONFIG_CHOICES["algorithm"]),
                  default="binary", show_default=True),
-    click.option("--split", type=click.Choice(["bisection", "binomial"]),
+    click.option("--split", type=click.Choice(CONFIG_CHOICES["split"]),
                  default="bisection", show_default=True),
     click.option("--criterion", default="log", show_default=True,
                  help="log | fixed-space=D | fixed-time=T"),

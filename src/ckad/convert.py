@@ -31,10 +31,6 @@ K = "%k"
 N = "%n"
 L = "%l"
 
-_HOSTOP_NAME = {T_FORWARD_J: "j*", T_REVERSE_J: "*j",
-                T_CHECKPOINT_J: "checkpoint-*j"}
-
-
 class _Gensym:
     def __init__(self):
         self.counter = 0
@@ -119,13 +115,12 @@ def convert(e, k_expr, n_expr, l_expr, gensym: _Gensym):
                         _inc(n_expr), l_expr, gensym)
         return _wrap(k_expr, n_expr, l_expr, outer)
     if tag in (T_FORWARD_J, T_REVERSE_J, T_CHECKPOINT_J):
-        which = _HOSTOP_NAME[tag]
         x1 = gensym()
         x2 = gensym()
         x3 = gensym()
         deliver = Lambda3(N, L, x3,
                           App3(k_expr, Var(N), Var(L),
-                               HostOp(which, Var(x1), Var(x2), Var(x3))))
+                               HostOp(tag, Var(x1), Var(x2), Var(x3))))
         c3 = convert(e.e3, deliver, Var(N), Var(L), gensym)
         c2 = convert(e.e2, Lambda3(N, L, x2, c3), Var(N), Var(L), gensym)
         c1 = convert(e.e1, Lambda3(N, L, x1, c2),

@@ -26,7 +26,9 @@ Host entry points:
 * ``resume(z)``        — run a capsule to completion, return its value;
 * ``make_I(f, l)``     — a closure that behaves like ``f`` but
   interrupts itself after ``l`` steps;
-* ``make_R()``         — the closure that resumes a capsule.
+* ``make_R()``         — the closure that resumes a capsule;
+* ``steps``            — the step count of the last run that delivered its
+  value to the host (so a taped run reports its own length).
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .ad import forward_j, reverse_j
 from .direct import _apply_binary, _apply_unary, make_closure
 from .errors import EvalError, NotAFunctionError, RanToCompletionError
 from .parser import Program
-from .values import BOTTOM, INFINITY, Capsule, Closure, Env
+from .values import BOTTOM, INFINITY, Capsule, Closure, Env, Pair
 
 
 class _Done:
@@ -213,6 +215,21 @@ _R_LAMBDA = Lambda("%z", Resume(Var("%z")))
 _R_CLOSURE = Closure(_R_LAMBDA, Env({}, None))
 
 
+def host_ad(machine, form, f, x, sensitivity):
+    """Apply the AD operator with source tag ``form`` to ``f`` at ``x``;
+    the host-level glue both pipelines share."""
+    if form == T_FORWARD_J:
+        y, yt = forward_j(f, x, sensitivity, machine.apply)
+        return Pair(y, yt)
+    if form == T_REVERSE_J:
+        y, xbar = reverse_j(f, x, sensitivity, machine.apply)
+        return Pair(y, xbar)
+    # checkpoint-*j
+    from .drivers import run_checkpoint
+    y, xbar = run_checkpoint(machine, f, x, sensitivity, machine.config)
+    return Pair(y, xbar)
+
+
 class CpsMachine:
     """The interruptible evaluator plus its host-level entry points.
 
@@ -224,6 +241,7 @@ class CpsMachine:
 
     def __init__(self, config=None):
         self.config = config
+        self.steps = None  # count of the last run to reach K_HOST
 
     # -- the machine ---------------------------------------------------------
 
@@ -365,7 +383,7 @@ class CpsMachine:
                             return Capsule(res.k,
                                            self.make_I(res.f, budget - l))
                         return res
-                    val = self._host_ad(form, v1, v2, val)
+                    val = host_ad(self, form, v1, v2, val)
                     continue
                 if kt == 10:  # KResume
                     if type(val) is not Capsule:
@@ -380,20 +398,8 @@ class CpsMachine:
                     e = f2.lam.body
                     break
                 # KHost
+                self.steps = n
                 return _Done(val, n)
-
-    def _host_ad(self, form, f, x, sensitivity):
-        from .values import Pair
-        if form == T_FORWARD_J:
-            y, yt = forward_j(f, x, sensitivity, self.apply)
-            return Pair(y, yt)
-        if form == T_REVERSE_J:
-            y, xbar = reverse_j(f, x, sensitivity, self.apply)
-            return Pair(y, xbar)
-        # checkpoint-*j
-        from .drivers import run_checkpoint
-        y, xbar = run_checkpoint(self, f, x, sensitivity, self.config)
-        return Pair(y, xbar)
 
     # -- host entry points -----------------------------------------------------
 

@@ -8,9 +8,7 @@ Python stack.
 
 An optional :class:`StepCounter` counts one step per expression-node
 evaluation; this matches the step accounting of the CPS evaluator
-(:mod:`ckad.cps`) exactly, which the test-suite checks, and gives the
-harness a cheap way to measure a program's length without running the
-CPS machine.
+(:mod:`ckad.cps`) exactly, which the test-suite checks.
 """
 
 from __future__ import annotations

@@ -8,6 +8,8 @@ interruption interface:
 * ``make_I(f, l)``         — wrap ``f`` to interrupt itself after ``l`` steps
 * ``make_R()``             — the capsule-resuming closure
 * ``reverse_base(f, x, ybar)`` — plain taping reverse mode
+* ``steps``                — the step count of the last run that reached
+  the host's bottom continuation; reverse mode reads ``L`` from it
 
 A driver reverses an ``L``-step computation by repeatedly splitting the
 execution interval at a point chosen by :func:`mid`: it advances a capsule
@@ -31,7 +33,9 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
+from .errors import ConfigError, EvalError
 from .metrics import METER
+from .values import Capsule
 
 INF_BUDGET = math.inf
 
@@ -213,24 +217,7 @@ def schedule_oracle(L: int, d: int) -> float:
     r(1, d) = 0;  r(L, 0) = inf for L > 1;
     r(L, d) = min over 1 <= m < L of  m + r(L - m, d - 1) + r(m, d).
     """
-    return _oracle(L, d)
-
-
-@lru_cache(maxsize=None)
-def _oracle(L: int, d: int):
-    if L <= 1:
-        return 0
-    if d == 0:
-        return math.inf
-    best = math.inf
-    for m in range(1, L):
-        right = _oracle(L - m, d - 1)
-        if right is math.inf:
-            continue
-        c = m + right + _oracle(m, d)
-        if c < best:
-            best = c
-    return best
+    return _r2(L, d, INF_BUDGET)
 
 
 def _dec(b):
@@ -244,30 +231,10 @@ def _dec(b):
 def checkpoint_reverse_bisect(P, f, x, y_cotangent, alpha: int = DEFAULT_ALPHA,
                               length: int | None = None):
     """Reverse via pure binary bisection with unlimited budgets: intervals
-    are halved until they are at most ``alpha`` steps long."""
-    alpha = max(alpha, MIN_ALPHA)
-    if length is None:
-        length = P.primops(f, x)
-    result = _bisect(P, f, x, y_cotangent, alpha, 0, length)
-    METER.done()
-    return result
-
-
-def _bisect(P, f, x, ybar, alpha, base, phi):
-    m = METER
-    length = phi - base
-    if length <= alpha:
-        m.leaf(base, phi)
-        return P.reverse_base(f, x, ybar)
-    half = length // 2
-    sid = m.snapshot(base)
-    z = P.interrupt(f, x, half)
-    m.advance(base, base + half)
-    y, zbar = _bisect(P, P.make_R(), z, ybar, alpha, base + half, phi)
-    m.release(sid, base)
-    _z, xbar = _bisect(P, P.make_I(f, half), x, zbar, alpha, base,
-                       base + half)
-    return y, xbar
+    are halved until they are at most ``alpha`` steps long.  This is
+    generalized binary checkpointing at its default budgets and split."""
+    return checkpoint_reverse_binary(P, f, x, y_cotangent, alpha,
+                                     length=length)
 
 
 def checkpoint_reverse_binary(P, f, x, y_cotangent,
@@ -378,37 +345,46 @@ class RunConfig:
     split: str = "bisection"           # "bisection" | "binomial"
     criterion: object = field(default_factory=Logarithmic)
     alpha: int = DEFAULT_ALPHA
-    known_length: int | None = None    # reuse a previously measured length
+    known_length: int | None = None    # checkpoint mode: skip the length pass
     last_length: int | None = None     # filled in by run_checkpoint
+
+
+#: the accepted values of RunConfig's string options (the CLI's choices)
+CONFIG_CHOICES = {"mode": ("reverse", "checkpoint"),
+                  "algorithm": ("binary", "treeverse", "bisect"),
+                  "split": ("bisection", "binomial")}
 
 
 def run_checkpoint(P, f, x, y_cotangent, config: RunConfig | None = None):
     """Carry out the checkpointing reverse operator per ``config``."""
     if config is None:
         config = RunConfig()
+    for option, choices in CONFIG_CHOICES.items():
+        value = getattr(config, option)
+        if value not in choices:
+            raise ConfigError(f"unknown {option}: {value!r}")
     if config.mode == "reverse":
-        length = config.known_length
-        if length is None:
-            length = P.primops(f, x)
-        config.last_length = length
-        return P.reverse_base(f, x, y_cotangent)
+        # the taped run counts its own steps: no separate length pass
+        y, xbar = P.reverse_base(f, x, y_cotangent)
+        if type(y) is Capsule:
+            raise EvalError("checkpoint-*j: the computation interrupted "
+                            "itself")
+        config.last_length = P.steps
+        return y, xbar
     alpha = max(config.alpha, MIN_ALPHA)
     length = config.known_length
     if length is None:
         length = P.primops(f, x)
     config.last_length = length
+    split = config.split
     if config.algorithm == "bisect":
-        return checkpoint_reverse_bisect(P, f, x, y_cotangent, alpha,
-                                         length=length)
-    if length <= alpha:
+        d = t = INF_BUDGET
+        split = "bisection"
+    elif length <= alpha:
         d = t = 1
     else:
         d, t = pick(config.criterion, length, alpha)
-    if config.algorithm == "binary":
-        return checkpoint_reverse_binary(P, f, x, y_cotangent, alpha,
-                                         d, t, config.split, length=length)
-    if config.algorithm == "treeverse":
-        return checkpoint_reverse_treeverse(P, f, x, y_cotangent, alpha,
-                                            d, t, config.split,
-                                            length=length)
-    raise ValueError(f"unknown algorithm: {config.algorithm!r}")
+    driver = (checkpoint_reverse_treeverse
+              if config.algorithm == "treeverse"
+              else checkpoint_reverse_binary)
+    return driver(P, f, x, y_cotangent, alpha, d, t, split, length=length)

@@ -45,3 +45,7 @@ class RanToCompletionError(EvalError):
 class CotangentShapeError(EvalError):
     """A cotangent (or tangent) does not match the shape of the value it
     is paired with."""
+
+
+class ConfigError(CkadError, ValueError):
+    """An unknown run option (mode, algorithm or split strategy)."""

@@ -16,12 +16,13 @@ pipeline.
 
 from __future__ import annotations
 
-from .ast import (Lambda, T_APP3, T_APP4, T_BINARY, T_CONST, T_HOSTOP, T_IF,
+from .ast import (T_APP3, T_APP4, T_BINARY, T_CONST, T_HOSTOP, T_IF,
                   T_INTERRUPT, T_LAMBDA3, T_LAMBDA4, T_LIMIT, T_RESUME,
-                  T_UNARY, T_VAR, Binary, Lambda3, Var)
-from .ad import forward_j, reverse_j
+                  T_UNARY, T_VAR, Lambda3, Var)
+from .ad import reverse_j
 from .convert import (I_LAMBDA4, K, L, N, R_LAMBDA4, _Gensym, convert_lambda,
                       convert_top, converted_free_variables)
+from .cps import host_ad
 from .direct import _apply_binary, _apply_unary
 from .errors import EvalError, NotAFunctionError, RanToCompletionError
 from .parser import Program
@@ -30,8 +31,6 @@ from .values import BOTTOM, INFINITY, Capsule, Closure, Env, Pair
 # host-level bottom continuations (genuine converted-code values)
 K3_VALUE = Closure(Lambda3(N, L, "%v", Var("%v")), Env({}, None))
 K3_COUNT = Closure(Lambda3(N, L, "%v", Var(N)), Env({}, None))
-K3_PAIR = Closure(Lambda3(N, L, "%v", Binary("cons", Var("%v"), Var(N))),
-                  Env({}, None))
 
 
 def _restrict(env: Env, fvs) -> Env:
@@ -115,6 +114,7 @@ class ExtendedMachine:
 
     def __init__(self, config=None):
         self.config = config
+        self.steps = None  # count of the last run to finish
 
     # -- the evaluator ---------------------------------------------------------
 
@@ -191,6 +191,7 @@ class ExtendedMachine:
                 e = lam.body
                 continue
             # terminal: a bottom continuation's body is a simple operand
+            self.steps = env.frame[N]
             return self._operand(env, e)
 
     def _operand(self, env: Env, e):
@@ -225,20 +226,9 @@ class ExtendedMachine:
             f = self._operand(env, e.e1)
             x = self._operand(env, e.e2)
             s = self._operand(env, e.e3)
-            return self._host_ad(e.which, f, x, s)
+            return host_ad(self, e.form, f, x, s)
         raise EvalError(
             f"unexpected node in operand position: tag {tag}")
-
-    def _host_ad(self, which, f, x, sensitivity):
-        if which == "j*":
-            y, yt = forward_j(f, x, sensitivity, self.apply)
-            return Pair(y, yt)
-        if which == "*j":
-            y, xbar = reverse_j(f, x, sensitivity, self.apply)
-            return Pair(y, xbar)
-        from .drivers import run_checkpoint
-        y, xbar = run_checkpoint(self, f, x, sensitivity, self.config)
-        return Pair(y, xbar)
 
     # -- host entry points --------------------------------------------------------
 
@@ -288,20 +278,9 @@ class ExtendedMachine:
 
     # -- whole programs --------------------------------------------------------------
 
-    def install(self, program: Program) -> Env:
-        gensym = _Gensym()
-        genv = Env({}, None)
-        for name, expr in program.defines:
-            if expr.TAG == 2:  # T_LAMBDA
-                genv.frame[name] = Closure(convert_lambda(expr, gensym), genv)
-            else:
-                genv.frame[name] = self._run_top(expr, genv, gensym,
-                                                 K3_VALUE)
-        return genv
-
-    def _run_top(self, expr, genv, gensym, k3):
+    def _run_top(self, expr, genv, gensym):
         converted = convert_top(expr, gensym)
-        env = Env({K: k3, N: 0, L: INFINITY}, genv)
+        env = Env({K: K3_VALUE, N: 0, L: INFINITY}, genv)
         res = self._run(env, converted)
         if type(res) is Capsule:
             raise EvalError("top-level expression interrupted itself")
@@ -312,17 +291,11 @@ class ExtendedMachine:
         gensym = _Gensym()
         genv = Env({}, None)
         for name, expr in program.defines:
-            if expr.TAG == 2:
+            if expr.TAG == 2:  # T_LAMBDA
                 genv.frame[name] = Closure(convert_lambda(expr, gensym), genv)
             else:
-                genv.frame[name] = self._run_top(expr, genv, gensym,
-                                                 K3_VALUE)
+                genv.frame[name] = self._run_top(expr, genv, gensym)
         if program.body is None:
             raise EvalError("program has no body expression")
-        pair = self._run_top(program.body, genv, gensym, K3_PAIR)
-        return pair.car, pair.cdr
-
-    def convert_function(self, lam: Lambda, env: Env | None = None) -> Closure:
-        if env is None:
-            env = Env({}, None)
-        return Closure(convert_lambda(lam), env)
+        value = self._run_top(program.body, genv, gensym)
+        return value, self.steps

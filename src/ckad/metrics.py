@@ -20,7 +20,7 @@ tuples so they are cheap to emit and easy to serialize:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class Meter:
@@ -122,7 +122,6 @@ class RunMetrics:
     recompute_steps: int = 0
     leaves: int = 0
     wall_ms: float = 0.0
-    extra: dict = field(default_factory=dict)
 
     def csv_row(self) -> list:
         return [getattr(self, c) for c in CSV_COLUMNS]

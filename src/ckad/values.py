@@ -82,15 +82,6 @@ class Env:
             env = env.parent
         raise UnboundVariableError(f"unbound variable: {name}")
 
-    def maybe_lookup(self, name: str, default=None):
-        env = self
-        while env is not None:
-            frame = env.frame
-            if name in frame:
-                return frame[name]
-            env = env.parent
-        return default
-
     def extend(self, name: str, value) -> "Env":
         return Env({name: value}, self)
 
@@ -130,20 +121,3 @@ class Capsule:
 
     def __repr__(self) -> str:
         return "<capsule>"
-
-
-def is_number(v) -> bool:
-    """True for plain language numbers (doubles).
-
-    Ints are machinery values (step counts / budgets) and deliberately do
-    not count: they must never be perturbed or taped.
-    """
-    return type(v) is float
-
-
-def to_number(v) -> float:
-    if type(v) is float:
-        return v
-    if type(v) is int:
-        return float(v)
-    raise TypeError(f"not a number: {v!r}")

@@ -14,6 +14,8 @@ from ckad.drivers import (INF_BUDGET, MIN_ALPHA, FixedSpace, FixedTime,
                           checkpoint_reverse_treeverse, criterion_name, eta,
                           mid, parse_criterion, pick, run_checkpoint,
                           schedule_oracle)
+from ckad.errors import CkadError, EvalError
+from ckad.extended import ExtendedMachine
 from ckad.metrics import METER
 from ckad.parser import parse_program
 
@@ -164,14 +166,22 @@ LOOP = """
 """
 
 
-@pytest.fixture(scope="module")
-def pipeline():
-    m = CpsMachine(RunConfig(mode="reverse"))
+def setup_loop(m):
     pair, _ = m.run_program(parse_program(LOOP))
     f, x = pair.car, pair.cdr
     L = m.primops(f, x)
     ref = m.reverse_base(f, x, 1.0)
     return m, f, x, L, ref
+
+
+@pytest.fixture(scope="module")
+def pipeline():
+    return setup_loop(CpsMachine(RunConfig(mode="reverse")))
+
+
+@pytest.fixture(scope="module")
+def pipeline_b():
+    return setup_loop(ExtendedMachine(RunConfig(mode="reverse")))
 
 
 def events(trace, kind):
@@ -250,19 +260,31 @@ def test_single_split_budget_sweep_bitwise(pipeline):
         assert bitwise_equal(y, ref[0]) and bitwise_equal(xbar, ref[1])
 
 
-def test_run_checkpoint_dispatch(pipeline):
-    m, f, x, L, ref = pipeline
-    for algorithm in ("binary", "treeverse", "bisect"):
-        cfg = RunConfig(mode="checkpoint", algorithm=algorithm,
-                        criterion=Logarithmic(), alpha=16)
+def test_run_checkpoint_dispatch(pipeline, pipeline_b, monkeypatch):
+    def no_length_pass(f, x):
+        raise AssertionError("unexpected primops call")
+
+    for m, f, x, L, ref in (pipeline, pipeline_b):
+        for algorithm in ("binary", "treeverse", "bisect"):
+            cfg = RunConfig(mode="checkpoint", algorithm=algorithm,
+                            criterion=Logarithmic(), alpha=16)
+            y, xbar = run_checkpoint(m, f, x, 1.0, cfg)
+            assert bitwise_equal(y, ref[0]) and bitwise_equal(xbar, ref[1])
+            assert cfg.last_length == L
+        # reverse mode takes L from its own taped run, and bad options
+        # are rejected before any evaluator work
+        monkeypatch.setattr(m, "primops", no_length_pass)
+        cfg = RunConfig(mode="reverse")
         y, xbar = run_checkpoint(m, f, x, 1.0, cfg)
         assert bitwise_equal(y, ref[0]) and bitwise_equal(xbar, ref[1])
         assert cfg.last_length == L
-    cfg = RunConfig(mode="reverse")
-    y, xbar = run_checkpoint(m, f, x, 1.0, cfg)
-    assert bitwise_equal(xbar, ref[1])
-    with pytest.raises(ValueError):
-        run_checkpoint(m, f, x, 1.0, RunConfig(algorithm="zigzag"))
+        with pytest.raises(EvalError):
+            run_checkpoint(m, m.make_I(f, L // 2), x, 1.0, cfg)
+        for bad in (RunConfig(algorithm="zigzag"), RunConfig(mode="taped"),
+                    RunConfig(split="diagonal")):
+            with pytest.raises(ValueError) as info:
+                run_checkpoint(m, f, x, 1.0, bad)
+            assert isinstance(info.value, CkadError)
 
 
 def test_run_checkpoint_reuses_known_length(pipeline):
