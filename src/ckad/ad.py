@@ -11,20 +11,31 @@ same variable.
 
 Reverse mode is structural: the independent value's numeric leaves are
 replaced by tape cells before the function runs, and the cotangent is
-read back off the cells afterwards.  The structural walks deliberately
-handle *any* runtime value — including capsules, closures, environments
+read back off the cells afterwards.  The structural code deliberately
+handles *any* runtime value — including capsules, closures, environments
 and continuation records — because the checkpointing drivers
 differentiate through interrupted computations whose inputs and outputs
-are exactly such structures.  Walks are memoized by object identity so
-that shared substructure maps to shared substructure (one tape cell per
-unique leaf object).
+are exactly such structures.
+
+One iterative walk, :func:`collect_leaves`, indexes a value: its unique
+numeric leaves in walk order (shared leaves appear once, so one tape cell
+per unique leaf object), its containers, and whether it is ground.
+:func:`map_structure` rebuilds the value from the index with new leaves;
+shared substructure maps to shared substructure.  Neither recurses in
+Python, so a value's depth is not bounded by the recursion limit.
+``forward_j`` and ``reverse_j`` index each value once (the input, then the
+output) and reuse the index for taping, seeding, stripping and reading
+back.
 
 For ground values (numbers, booleans, pairs, the empty list) tangents and
 cotangents mirror the value's shape.  For non-ground values (capsules
 etc.) they are represented as a flat tuple of per-leaf sensitivities in
-deterministic walk order (:class:`FlatSensitivity`); the two sides of a
-checkpoint split produce and consume these in the same order because both
-walk structurally identical values.
+walk order (:class:`FlatSensitivity`); the two sides of a checkpoint
+split produce and consume these in the same order because both walk
+structurally identical values.  A mirrored sensitivity is turned into
+per-leaf entries by one shape-checked walk against the value: a leaf at
+several positions of a cotangent receives their sum, and one at several
+positions of a tangent takes the first.
 """
 
 from __future__ import annotations
@@ -33,7 +44,7 @@ import math
 
 from .errors import ArithmeticEvalError, CotangentShapeError, EvalError
 from .metrics import METER
-from .values import BOTTOM, EMPTY, INFINITY, Capsule, Closure, Env, Pair
+from .values import EMPTY, Env, Pair
 
 # ---------------------------------------------------------------------------
 # levels
@@ -278,165 +289,191 @@ def _d_binary(op, a, b):
 
 
 # ---------------------------------------------------------------------------
-# structural walks
+# the leaf index
 # ---------------------------------------------------------------------------
 
-def map_structure(v, fn, memo=None):
-    """Rebuild ``v`` with ``fn`` applied to every numeric leaf (floats and
-    AD values), memoized by object identity so shared substructure stays
-    shared.  All other atoms (booleans, ints, sentinels, AST nodes) pass
-    through unchanged."""
-    if memo is None:
-        memo = {}
-    return _map(v, fn, memo)
+class LeafIndex(list):
+    """The unique numeric leaves of a value, in walk order (the list
+    itself), together with the value's containers and whether the value is
+    ground.
+
+    The walk visits each object once, at its first occurrence: a pair's
+    car before its cdr, an environment's frame values in dict order before
+    its parent, and the fields of closures, capsules and continuation
+    records in the order their class's ``CHILDREN`` names them.  Atoms
+    (booleans, ints, sentinels, AST nodes) are neither leaves nor
+    containers.
+    """
+
+    __slots__ = ("root", "nodes", "ground")
+
+    def rebuild(self, leaves):
+        """The value again with ``leaves[i]`` in place of ``self[i]``.
+
+        Every container is copied field by field, each field passed
+        through the map from old leaves and containers to new ones; fields
+        that ``CHILDREN`` leaves out hold no runtime value and are kept.
+        Shared substructure stays shared."""
+        fresh = dict(zip(map(id, self), leaves))
+        nodes = self.nodes
+        copies = []
+        for node in nodes:
+            t = type(node)
+            copy = t.__new__(t)
+            copies.append(copy)
+            fresh[id(node)] = copy
+        get = fresh.get
+        for node, copy in zip(nodes, copies):
+            t = type(node)
+            if t is Pair:
+                c = node.car
+                copy.car = get(id(c), c)
+                c = node.cdr
+                copy.cdr = get(id(c), c)
+            elif t is Env:
+                copy.frame = {name: get(id(c), c)
+                              for name, c in node.frame.items()}
+                c = node.parent
+                copy.parent = c if c is None else fresh[id(c)]
+            else:
+                for name in t.__slots__:
+                    c = getattr(node, name)
+                    setattr(copy, name, get(id(c), c))
+        root = self.root
+        return get(id(root), root)
 
 
-def _map(v, fn, memo):
-    t = type(v)
-    if t is bool or t is int or v is EMPTY or v is BOTTOM or v is INFINITY:
-        return v
-    key = id(v)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit[1]
-    if t is float or t is Dual or t is TapeCell:
-        new = fn(v)
-        memo[key] = (v, new)
-        return new
-    if t is Pair:
-        new = Pair(None, None)
-        memo[key] = (v, new)
-        new.car = _map(v.car, fn, memo)
-        new.cdr = _map(v.cdr, fn, memo)
-        return new
-    elif t is Closure:
-        new = Closure(v.lam, None)
-        memo[key] = (v, new)
-        new.env = _map_env(v.env, fn, memo)
-        return new
-    elif t is Env:
-        return _map_env(v, fn, memo)
-    elif t is Capsule:
-        new = Capsule(None, None)
-        memo[key] = (v, new)
-        new.k = _map(v.k, fn, memo)
-        new.f = _map(v.f, fn, memo)
-        return new
-    else:
-        # continuation records expose map_children; record chains are
-        # acyclic (a record can only reference records created before it)
-        mapper = getattr(v, "map_children", None)
-        if mapper is None:
-            return v
-        new = mapper(lambda child: _map(child, fn, memo))
-        memo[key] = (v, new)
-        return new
+def collect_leaves(v) -> LeafIndex:
+    """Index ``v``: its unique numeric leaves (floats and AD values) in
+    walk order, its containers, and whether it is ground."""
+    index = LeafIndex()
+    nodes = []
+    seen = set()
+    add = seen.add
+    ground = True
+    stack = [v]
+    push = stack.append
+    pop = stack.pop
+    while stack:
+        cur = pop()
+        t = type(cur)
+        if t is float or t is Dual or t is TapeCell:
+            k = id(cur)
+            if k not in seen:
+                add(k)
+                index.append(cur)
+            continue
+        if t is Pair:
+            k = id(cur)
+            if k not in seen:
+                add(k)
+                nodes.append(cur)
+                push(cur.cdr)
+                push(cur.car)
+            continue
+        if t is bool or cur is EMPTY:
+            continue
+        ground = False
+        if t is Env:
+            k = id(cur)
+            if k not in seen:
+                add(k)
+                nodes.append(cur)
+                if cur.parent is not None:
+                    push(cur.parent)
+                stack.extend(reversed(cur.frame.values()))
+            continue
+        children = getattr(t, "CHILDREN", None)
+        if children:
+            k = id(cur)
+            if k not in seen:
+                add(k)
+                nodes.append(cur)
+                for name in reversed(children):
+                    push(getattr(cur, name))
+    index.root = v
+    index.nodes = nodes
+    index.ground = ground
+    return index
 
 
-def _map_env(env, fn, memo):
-    key = id(env)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit[1]
-    new = Env({}, None)
-    memo[key] = (env, new)
-    new.frame = {name: _map(val, fn, memo) for name, val in env.frame.items()}
-    if env.parent is not None:
-        new.parent = _map_env(env.parent, fn, memo)
-    return new
+def map_structure(v, fn, index=None):
+    """Rebuild ``v`` with ``fn`` applied to every numeric leaf, in walk
+    order.  ``index`` is ``collect_leaves(v)`` when the caller has it."""
+    if index is None:
+        index = collect_leaves(v)
+    return index.rebuild([fn(leaf) for leaf in index])
 
 
 def is_ground(v) -> bool:
     """Ground values: numbers (possibly AD-wrapped), booleans, the empty
     list, and pairs thereof."""
-    stack = [v]
+    return collect_leaves(v).ground
+
+
+def _entries(index, sensitivity, accumulate, what):
+    """One entry of ``sensitivity`` per leaf of ``index``.
+
+    A flat sensitivity is checked for length.  A mirrored one is walked
+    against the value position by position: with ``accumulate`` a leaf
+    that occurs at several positions sums their entries, otherwise it
+    takes the entry at its first position."""
+    if type(sensitivity) is FlatSensitivity:
+        if len(sensitivity) != len(index):
+            raise CotangentShapeError(
+                f"flat {what} has {len(sensitivity)} entries but the value "
+                f"has {len(index)} numeric leaves")
+        return sensitivity.entries
+    slot = {id(leaf): i for i, leaf in enumerate(index)}
+    entries = [None] * len(index)
+    visited = set()
+    stack = [(index.root, sensitivity)]
     while stack:
-        cur = stack.pop()
-        t = type(cur)
-        if t is Pair:
-            stack.append(cur.car)
-            stack.append(cur.cdr)
-        elif t in (float, bool, Dual, TapeCell) or cur is EMPTY:
+        v, s = stack.pop()
+        t = type(v)
+        if t is bool or v is EMPTY:
             continue
+        if not accumulate:
+            if id(v) in visited:
+                continue
+            visited.add(id(v))
+        if t is Pair:
+            if type(s) is not Pair:
+                raise CotangentShapeError(
+                    f"{what} shape mismatch: expected a pair, got {s!r}")
+            stack.append((v.cdr, s.cdr))
+            stack.append((v.car, s.car))
+        elif t in _NUMERIC_LEAF:
+            if not isinstance(s, _NUMERIC_LEAF):
+                raise CotangentShapeError(
+                    f"{what} shape mismatch: expected a number, got {s!r}")
+            i = slot[id(v)]
+            if entries[i] is None:
+                entries[i] = s
+            elif accumulate:
+                entries[i] = lift_binary("+", entries[i], s)
         else:
-            return False
-    return True
-
-
-def collect_leaves(v):
-    """Numeric leaves of ``v`` in deterministic walk order (shared leaves
-    appear once)."""
-    leaves = []
-
-    def record(leaf):
-        leaves.append(leaf)
-        return leaf
-
-    map_structure(v, record)
-    return leaves
+            raise CotangentShapeError(
+                f"a flat {what} is required for a non-ground value; "
+                f"got {v!r}")
+    return entries
 
 
 # ---------------------------------------------------------------------------
-# bundling / unbundling (forward mode)
+# forward mode
 # ---------------------------------------------------------------------------
 
 def bundle(v, tangent, level: int):
     """Attach ``tangent`` to the numeric leaves of ``v`` at ``level``.
 
     ``tangent`` either mirrors the shape of ``v`` or is a
-    :class:`FlatSensitivity`.
+    :class:`FlatSensitivity`.  A leaf shared between positions of a
+    mirrored tangent takes the tangent at its first position.
     """
-    if isinstance(tangent, FlatSensitivity):
-        cursor = iter(tangent.entries)
-
-        def attach(leaf):
-            try:
-                t = next(cursor)
-            except StopIteration:
-                raise CotangentShapeError(
-                    "tangent has fewer entries than the value has leaves"
-                ) from None
-            return Dual(leaf, t, level)
-
-        result = map_structure(v, attach)
-        remaining = sum(1 for _ in cursor)
-        if remaining:
-            raise CotangentShapeError(
-                f"tangent has {remaining} extra entries")
-        return result
-    return _bundle_mirror(v, tangent, level, {})
-
-
-def _bundle_mirror(v, tangent, level, memo):
-    t = type(v)
-    if t is bool or v is EMPTY:
-        return v
-    if t in _NUMERIC_LEAF:
-        key = id(v)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit[1]
-        if not isinstance(tangent, _NUMERIC_LEAF):
-            raise CotangentShapeError(
-                f"tangent shape mismatch: expected a number, got {tangent!r}")
-        new = Dual(v, tangent, level)
-        memo[key] = (v, new)
-        return new
-    if t is Pair:
-        key = id(v)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit[1]
-        if type(tangent) is not Pair:
-            raise CotangentShapeError(
-                f"tangent shape mismatch: expected a pair, got {tangent!r}")
-        new = Pair(None, None)
-        memo[key] = (v, new)
-        new.car = _bundle_mirror(v.car, tangent.car, level, memo)
-        new.cdr = _bundle_mirror(v.cdr, tangent.cdr, level, memo)
-        return new
-    raise CotangentShapeError(
-        f"cannot bundle a tangent onto a non-ground value: {v!r}")
+    index = collect_leaves(v)
+    tangents = iter(_entries(index, tangent, False, "tangent"))
+    return map_structure(v, lambda leaf: Dual(leaf, next(tangents), level),
+                         index)
 
 
 def unbundle(v, level: int):
@@ -446,25 +483,25 @@ def unbundle(v, level: int):
     zero tangent.  The tangent mirrors ground values and is flat
     otherwise.
     """
+    index = collect_leaves(v)
     primal = map_structure(
         v, lambda leaf: leaf.primal
-        if type(leaf) is Dual and leaf.level == level else leaf)
-    if is_ground(v):
-        tangent = map_structure(
-            v, lambda leaf: leaf.tangent
-            if type(leaf) is Dual and leaf.level == level else 0.0)
-        return primal, tangent
-    entries = [leaf.tangent if type(leaf) is Dual and leaf.level == level
-               else 0.0 for leaf in collect_leaves(v)]
-    return primal, FlatSensitivity(entries)
+        if type(leaf) is Dual and leaf.level == level else leaf, index)
+
+    def tangent(leaf):
+        return (leaf.tangent if type(leaf) is Dual and leaf.level == level
+                else 0.0)
+
+    if index.ground:
+        return primal, map_structure(v, tangent, index)
+    return primal, FlatSensitivity(map(tangent, index))
 
 
 def forward_j(f, x, x_tangent, applier):
     """Forward-mode derivative: returns (y, y_tangent)."""
     level = _enter_level()
     try:
-        x_bundled = bundle(x, x_tangent, level)
-        out = applier(f, x_bundled)
+        out = applier(f, bundle(x, x_tangent, level))
         return unbundle(out, level)
     finally:
         _exit_level()
@@ -474,66 +511,29 @@ def forward_j(f, x, x_tangent, applier):
 # reverse mode
 # ---------------------------------------------------------------------------
 
-def _seed_mirror(out, ybar, level, memo):
-    t = type(out)
-    if t is bool or out is EMPTY:
-        return
-    if t in _NUMERIC_LEAF:
-        key = id(out)
-        if key in memo:
-            return
-        memo[key] = out
-        if not isinstance(ybar, _NUMERIC_LEAF):
-            raise CotangentShapeError(
-                f"cotangent shape mismatch: expected a number, got {ybar!r}")
-        if t is TapeCell and out.level == level:
-            out.cot = lift_binary("+", out.cot, ybar)
-        return
-    if t is Pair:
-        key = id(out)
-        if key in memo:
-            return
-        memo[key] = out
-        if type(ybar) is not Pair:
-            raise CotangentShapeError(
-                f"cotangent shape mismatch: expected a pair, got {ybar!r}")
-        _seed_mirror(out.car, ybar.car, level, memo)
-        _seed_mirror(out.cdr, ybar.cdr, level, memo)
-        return
-    raise CotangentShapeError(
-        "a structured cotangent is required for a non-ground output; "
-        f"got output {out!r}")
-
-
-def _seed_flat(out, ybar: FlatSensitivity, level):
-    leaves = collect_leaves(out)
-    if len(leaves) != len(ybar.entries):
-        raise CotangentShapeError(
-            f"flat cotangent has {len(ybar.entries)} entries but the output "
-            f"has {len(leaves)} numeric leaves")
-    for leaf, entry in zip(leaves, ybar.entries):
-        if type(leaf) is TapeCell and leaf.level == level:
-            leaf.cot = lift_binary("+", leaf.cot, entry)
-
-
 def reverse_j(f, x, y_cotangent, applier):
     """Reverse-mode derivative: returns (y, x_cotangent).
 
     ``applier`` runs ``f`` on the taped input and may return any value,
     including a capsule (an interrupted computation): cotangents then flow
-    into and out of the capsule's numeric leaves.
+    into and out of the capsule's numeric leaves.  A leaf that occurs at
+    several positions of a mirrored cotangent receives their sum.
     """
     level = _enter_level()
     registry: list = []
     _registries[level] = registry
     try:
+        x_index = collect_leaves(x)
         x_taped = map_structure(
-            x, lambda leaf: _new_cell(leaf, (), level))
+            x, lambda leaf: _new_cell(leaf, (), level), x_index)
+        # the first cells on this level's tape are x's, in index order
+        x_cells = registry[:len(x_index)]
         out = applier(f, x_taped)
-        if isinstance(y_cotangent, FlatSensitivity):
-            _seed_flat(out, y_cotangent, level)
-        else:
-            _seed_mirror(out, y_cotangent, level, {})
+        out_index = collect_leaves(out)
+        for leaf, entry in zip(out_index, _entries(
+                out_index, y_cotangent, True, "cotangent")):
+            if type(leaf) is TapeCell and leaf.level == level:
+                leaf.cot = lift_binary("+", leaf.cot, entry)
         # reverse sweep in anti-chronological order
         for cell in reversed(registry):
             cot = cell.cot
@@ -544,16 +544,13 @@ def reverse_j(f, x, y_cotangent, applier):
                     "+", parent.cot, lift_binary("*", partial, cot))
         y = map_structure(
             out, lambda leaf: leaf.primal
-            if type(leaf) is TapeCell and leaf.level == level else leaf)
-        if is_ground(x):
-            x_cotangent = map_structure(
-                x_taped, lambda leaf: leaf.cot
-                if type(leaf) is TapeCell and leaf.level == level else 0.0)
-        else:
-            x_cotangent = FlatSensitivity(
-                [leaf.cot if type(leaf) is TapeCell and leaf.level == level
-                 else 0.0 for leaf in collect_leaves(x_taped)])
-        return y, x_cotangent
+            if type(leaf) is TapeCell and leaf.level == level else leaf,
+            out_index)
+        cots = [cell.cot for cell in x_cells]
+        if x_index.ground:
+            it = iter(cots)
+            return y, map_structure(x, lambda _leaf: next(it), x_index)
+        return y, FlatSensitivity(cots)
     finally:
         METER.cells_released(len(registry))
         del _registries[level]

@@ -256,7 +256,9 @@ class HostOp(Expr):
 # -- free variables ---------------------------------------------------------
 
 def free_variables(e: Expr) -> tuple:
-    """Free variables of ``e`` in first-occurrence order.
+    """Free variables of the source-language expression ``e`` in
+    first-occurrence order (converted code has its own:
+    :func:`ckad.convert.converted_free_variables`).
 
     Results for ``Lambda`` nodes are cached on the node.
     """
@@ -315,129 +317,4 @@ def _fv(e: Expr, bound: frozenset, acc: dict) -> None:
     if tag == T_RESUME:
         _fv(e.arg, bound, acc)
         return
-    if tag == T_LAMBDA3:
-        _fv(e.body, bound | {e.n, e.l, e.x}, acc)
-        return
-    if tag == T_LAMBDA4:
-        _fv(e.body, bound | {e.k, e.n, e.l, e.x}, acc)
-        return
-    if tag == T_APP3:
-        _fv(e.fn, bound, acc)
-        _fv(e.n, bound, acc)
-        _fv(e.l, bound, acc)
-        _fv(e.arg, bound, acc)
-        return
-    if tag == T_APP4:
-        _fv(e.fn, bound, acc)
-        _fv(e.k, bound, acc)
-        _fv(e.n, bound, acc)
-        _fv(e.l, bound, acc)
-        _fv(e.arg, bound, acc)
-        return
-    if tag == T_LIMIT:
-        _fv(e.k_expr, bound, acc)
-        _fv(e.n_expr, bound, acc)
-        _fv(e.l_expr, bound, acc)
-        _fv(e.body, bound, acc)
-        return
-    if tag == T_HOSTOP:
-        _fv(e.e1, bound, acc)
-        _fv(e.e2, bound, acc)
-        _fv(e.e3, bound, acc)
-        return
-    raise TypeError(f"unknown expression node: {e!r}")
-
-
-# -- pretty printing ---------------------------------------------------------
-
-_AD_NAME = {T_FORWARD_J: "j*", T_REVERSE_J: "*j",
-            T_CHECKPOINT_J: "checkpoint-*j"}
-
-
-def to_sexpr(e: Expr) -> str:
-    tag = e.TAG
-    if tag == T_CONST:
-        v = e.value
-        if v is True:
-            return "#t"
-        if v is False:
-            return "#f"
-        if type(v) is float:
-            return repr(v)
-        if type(v) is int:
-            return repr(v)
-        return "nil"  # the only other constant a program can denote
-    if tag == T_VAR:
-        return e.name
-    if tag == T_LAMBDA:
-        return f"(lambda ({e.param}) {to_sexpr(e.body)})"
-    if tag == T_APP:
-        return f"({to_sexpr(e.fn)} {to_sexpr(e.arg)})"
-    if tag == T_IF:
-        return f"(if {to_sexpr(e.cond)} {to_sexpr(e.then)} {to_sexpr(e.alt)})"
-    if tag == T_UNARY:
-        return f"({e.op} {to_sexpr(e.arg)})"
-    if tag == T_BINARY:
-        return f"({e.op} {to_sexpr(e.left)} {to_sexpr(e.right)})"
-    if tag in _AD_NAME:
-        return (f"({_AD_NAME[tag]} {to_sexpr(e.e1)} {to_sexpr(e.e2)} "
-                f"{to_sexpr(e.e3)})")
-    if tag == T_INTERRUPT:
-        return f"(interrupt {to_sexpr(e.e1)} {to_sexpr(e.e2)} {to_sexpr(e.e3)})"
-    if tag == T_RESUME:
-        return f"(resume {to_sexpr(e.arg)})"
-    if tag == T_LAMBDA3:
-        return f"(lambda3 ({e.n} {e.l} {e.x}) {to_sexpr(e.body)})"
-    if tag == T_LAMBDA4:
-        return f"(lambda4 ({e.k} {e.n} {e.l} {e.x}) {to_sexpr(e.body)})"
-    if tag == T_APP3:
-        return (f"({to_sexpr(e.fn)} {to_sexpr(e.n)} {to_sexpr(e.l)} "
-                f"{to_sexpr(e.arg)})")
-    if tag == T_APP4:
-        return (f"({to_sexpr(e.fn)} {to_sexpr(e.k)} {to_sexpr(e.n)} "
-                f"{to_sexpr(e.l)} {to_sexpr(e.arg)})")
-    if tag == T_LIMIT:
-        return (f"(limit-check {to_sexpr(e.n_expr)} {to_sexpr(e.l_expr)} "
-                f"{to_sexpr(e.body)})")
-    if tag == T_HOSTOP:
-        return (f"({_AD_NAME[e.form]} {to_sexpr(e.e1)} {to_sexpr(e.e2)} "
-                f"{to_sexpr(e.e3)})")
-    raise TypeError(f"unknown expression node: {e!r}")
-
-
-def node_count(e: Expr) -> int:
-    """Number of AST nodes in ``e`` (used to check conversion size bounds)."""
-    tag = e.TAG
-    if tag in (T_CONST, T_VAR):
-        return 1
-    if tag == T_LAMBDA:
-        return 1 + node_count(e.body)
-    if tag == T_APP:
-        return 1 + node_count(e.fn) + node_count(e.arg)
-    if tag == T_IF:
-        return 1 + node_count(e.cond) + node_count(e.then) + node_count(e.alt)
-    if tag == T_UNARY:
-        return 1 + node_count(e.arg)
-    if tag == T_BINARY:
-        return 1 + node_count(e.left) + node_count(e.right)
-    if tag in (T_FORWARD_J, T_REVERSE_J, T_CHECKPOINT_J, T_INTERRUPT):
-        return 1 + node_count(e.e1) + node_count(e.e2) + node_count(e.e3)
-    if tag == T_RESUME:
-        return 1 + node_count(e.arg)
-    if tag == T_LAMBDA3:
-        return 1 + node_count(e.body)
-    if tag == T_LAMBDA4:
-        return 1 + node_count(e.body)
-    if tag == T_APP3:
-        return (1 + node_count(e.fn) + node_count(e.n) + node_count(e.l)
-                + node_count(e.arg))
-    if tag == T_APP4:
-        return (1 + node_count(e.fn) + node_count(e.k) + node_count(e.n)
-                + node_count(e.l) + node_count(e.arg))
-    if tag == T_LIMIT:
-        # the prebuilt restart lambda shares `body`, count it once
-        return (1 + node_count(e.k_expr) + node_count(e.n_expr)
-                + node_count(e.l_expr) + node_count(e.body))
-    if tag == T_HOSTOP:
-        return 1 + node_count(e.e1) + node_count(e.e2) + node_count(e.e3)
     raise TypeError(f"unknown expression node: {e!r}")

@@ -52,15 +52,15 @@ class _Done:
 
 
 # -- defunctionalized continuations -----------------------------------------
+# ``CHILDREN`` names the fields that hold runtime values, in the order the
+# AD leaf index (:func:`ckad.ad.collect_leaves`) walks them.
 
 class KHost:
     """Bottom continuation: delivers the value and count to the host."""
 
     __slots__ = ()
     TAG = 0
-
-    def map_children(self, rec):
-        return self
+    CHILDREN = ()
 
 
 K_HOST = KHost()
@@ -71,14 +71,12 @@ class KArg:
 
     __slots__ = ("e", "env", "k")
     TAG = 1
+    CHILDREN = ("env", "k")
 
     def __init__(self, e, env, k):
         self.e = e
         self.env = env
         self.k = k
-
-    def map_children(self, rec):
-        return KArg(self.e, rec(self.env), rec(self.k))
 
 
 class KApply:
@@ -86,18 +84,17 @@ class KApply:
 
     __slots__ = ("f", "k")
     TAG = 2
+    CHILDREN = ("f", "k")
 
     def __init__(self, f, k):
         self.f = f
         self.k = k
 
-    def map_children(self, rec):
-        return KApply(rec(self.f), rec(self.k))
-
 
 class KIf:
     __slots__ = ("then", "alt", "env", "k")
     TAG = 3
+    CHILDREN = ("env", "k")
 
     def __init__(self, then, alt, env, k):
         self.then = then
@@ -105,25 +102,21 @@ class KIf:
         self.env = env
         self.k = k
 
-    def map_children(self, rec):
-        return KIf(self.then, self.alt, rec(self.env), rec(self.k))
-
 
 class KUnary:
     __slots__ = ("op", "k")
     TAG = 4
+    CHILDREN = ("k",)
 
     def __init__(self, op, k):
         self.op = op
         self.k = k
 
-    def map_children(self, rec):
-        return KUnary(self.op, rec(self.k))
-
 
 class KBin1:
     __slots__ = ("op", "right", "env", "k")
     TAG = 5
+    CHILDREN = ("env", "k")
 
     def __init__(self, op, right, env, k):
         self.op = op
@@ -131,26 +124,22 @@ class KBin1:
         self.env = env
         self.k = k
 
-    def map_children(self, rec):
-        return KBin1(self.op, self.right, rec(self.env), rec(self.k))
-
 
 class KBin2:
     __slots__ = ("op", "left", "k")
     TAG = 6
+    CHILDREN = ("left", "k")
 
     def __init__(self, op, left, k):
         self.op = op
         self.left = left
         self.k = k
 
-    def map_children(self, rec):
-        return KBin2(self.op, rec(self.left), rec(self.k))
-
 
 class KAd1:
     __slots__ = ("form", "e2", "e3", "env", "k")
     TAG = 7
+    CHILDREN = ("env", "k")
 
     def __init__(self, form, e2, e3, env, k):
         self.form = form
@@ -159,13 +148,11 @@ class KAd1:
         self.env = env
         self.k = k
 
-    def map_children(self, rec):
-        return KAd1(self.form, self.e2, self.e3, rec(self.env), rec(self.k))
-
 
 class KAd2:
     __slots__ = ("form", "v1", "e3", "env", "k")
     TAG = 8
+    CHILDREN = ("v1", "env", "k")
 
     def __init__(self, form, v1, e3, env, k):
         self.form = form
@@ -174,14 +161,11 @@ class KAd2:
         self.env = env
         self.k = k
 
-    def map_children(self, rec):
-        return KAd2(self.form, rec(self.v1), self.e3, rec(self.env),
-                    rec(self.k))
-
 
 class KAd3:
     __slots__ = ("form", "v1", "v2", "k")
     TAG = 9
+    CHILDREN = ("v1", "v2", "k")
 
     def __init__(self, form, v1, v2, k):
         self.form = form
@@ -189,19 +173,14 @@ class KAd3:
         self.v2 = v2
         self.k = k
 
-    def map_children(self, rec):
-        return KAd3(self.form, rec(self.v1), rec(self.v2), rec(self.k))
-
 
 class KResume:
     __slots__ = ("k",)
     TAG = 10
+    CHILDREN = ("k",)
 
     def __init__(self, k):
         self.k = k
-
-    def map_children(self, rec):
-        return KResume(rec(self.k))
 
 
 # The restart closure of a capsule wraps the pending expression in a

@@ -55,10 +55,20 @@ DEFAULT_ALPHA = 64
 class FixedSpace:
     d: int
 
+    def __post_init__(self):
+        if self.d < 1:
+            raise ConfigError(f"fixed-space criterion needs d >= 1, "
+                              f"got {self.d}")
+
 
 @dataclass(frozen=True)
 class FixedTime:
     t: int
+
+    def __post_init__(self):
+        if self.t < 1:
+            raise ConfigError(f"fixed-time criterion needs t >= 1, "
+                              f"got {self.t}")
 
 
 @dataclass(frozen=True)
@@ -100,16 +110,12 @@ def pick(criterion, n: int, alpha: int = DEFAULT_ALPHA):
     alpha = max(alpha, MIN_ALPHA)
     if isinstance(criterion, FixedSpace):
         d = criterion.d
-        if d < 1:
-            raise ValueError("fixed-space criterion needs d >= 1")
         t = 1
         while eta(d, t) * alpha < n:
             t += 1
         return d, t
     if isinstance(criterion, FixedTime):
         t = criterion.t
-        if t < 1:
-            raise ValueError("fixed-time criterion needs t >= 1")
         d = 1
         while eta(d, t) * alpha < n:
             d += 1

@@ -48,4 +48,5 @@ class CotangentShapeError(EvalError):
 
 
 class ConfigError(CkadError, ValueError):
-    """An unknown run option (mode, algorithm or split strategy)."""
+    """An unknown run option (mode, algorithm or split strategy) or a
+    criterion budget below 1."""

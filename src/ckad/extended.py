@@ -51,7 +51,10 @@ def _restrict(env: Env, fvs) -> Env:
     return Env(frame, root)
 
 
-def _canonical(v, memo):
+_EXIT = object()  # stack marker: the pair or capsule below it is complete
+
+
+def _canonical(root):
     """Rewrite every closure reachable in a captured value so it closes
     over exactly its free variables (flat frame, sorted names, root kept
     as parent).
@@ -62,51 +65,58 @@ def _canonical(v, memo):
     cotangents with capsule leaves by traversal order, so a capsule's
     structure must depend only on the execution point and the values it
     holds — canonicalizing at capture guarantees that.
+
+    The walk keeps its own stack.  A closure's rewrite exists from its
+    first visit, and its frame is rewritten once the whole value has been
+    walked; a pair or capsule is rewritten once its parts are.
     """
-    t = type(v)
-    if t is Closure:
-        key = id(v)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        lam = v.lam
-        if v.env.parent is None:
-            # host-made closure: only the interrupt wrapper carries a
-            # value that needs canonicalizing
-            if lam is I_LAMBDA4:
-                frame = v.env.frame
-                new = Closure(lam, Env({"%f": _canonical(frame["%f"], memo),
-                                        "%b": frame["%b"]}, None))
+    memo = {}    # id of a visited closure, capsule or pair -> its rewrite
+    frames = []  # the rewritten closures' frames, still holding old values
+    stack = [root]
+    pop = stack.pop
+    while stack:
+        v = pop()
+        if v is _EXIT:
+            v = pop()
+            if type(v) is Capsule:
+                new = Capsule(memo.get(id(v.k), v.k), memo.get(id(v.f), v.f))
             else:
-                new = v
-            memo[key] = new
-            return new
-        new = Closure(lam, v.env)
-        memo[key] = new
-        env = _restrict(v.env, converted_free_variables(lam))
-        for name in list(env.frame):
-            env.frame[name] = _canonical(env.frame[name], memo)
-        new.env = env
-        return new
-    if t is Capsule:
-        key = id(v)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        new = Capsule(_canonical(v.k, memo), _canonical(v.f, memo))
-        memo[key] = new
-        return new
-    if t is Pair:
-        key = id(v)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        car = _canonical(v.car, memo)
-        cdr = _canonical(v.cdr, memo)
-        new = v if car is v.car and cdr is v.cdr else Pair(car, cdr)
-        memo[key] = new
-        return new
-    return v
+                car = memo.get(id(v.car), v.car)
+                cdr = memo.get(id(v.cdr), v.cdr)
+                new = (v if car is v.car and cdr is v.cdr
+                       else Pair(car, cdr))
+            memo[id(v)] = new
+            continue
+        t = type(v)
+        if t is Closure:
+            if id(v) in memo:
+                continue
+            lam = v.lam
+            if v.env.parent is not None:
+                env = _restrict(v.env, converted_free_variables(lam))
+                memo[id(v)] = Closure(lam, env)
+                frames.append(env.frame)
+                stack.extend(env.frame.values())
+            elif lam is I_LAMBDA4:
+                # of the host-made closures only the interrupt wrapper
+                # carries a value that needs canonicalizing
+                frame = v.env.frame
+                env = Env({"%f": frame["%f"], "%b": frame["%b"]}, None)
+                memo[id(v)] = Closure(lam, env)
+                frames.append(env.frame)
+                stack.append(frame["%f"])
+            else:
+                memo[id(v)] = v
+        elif t is Pair:
+            if id(v) not in memo:
+                stack += (v, _EXIT, v.cdr, v.car)
+        elif t is Capsule:
+            if id(v) not in memo:
+                stack += (v, _EXIT, v.f, v.k)
+    for frame in frames:
+        for name, value in frame.items():
+            frame[name] = memo.get(id(value), value)
+    return memo.get(id(root), root)
 
 
 class ExtendedMachine:
@@ -126,7 +136,7 @@ class ExtendedMachine:
                 l = self._operand(env, e.l_expr)
                 if n == l:
                     k = self._operand(env, e.k_expr)
-                    return _canonical(Capsule(k, Closure(e.relam, env)), {})
+                    return _canonical(Capsule(k, Closure(e.relam, env)))
                 e = e.body
                 continue
             if tag == T_APP3:

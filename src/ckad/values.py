@@ -16,7 +16,9 @@ Values are:
 * ``BOTTOM``     — the placeholder argument used to resume a capsule
 * ``INFINITY``   — the "no step limit" sentinel
 
-AD values (``Dual``, ``TapeCell``) live in :mod:`ckad.ad`.
+AD values (``Dual``, ``TapeCell``) live in :mod:`ckad.ad`.  Closures,
+capsules and the continuation records of :mod:`ckad.cps` name the fields
+that hold values in ``CHILDREN``, the order the AD leaf index walks them.
 """
 
 from __future__ import annotations
@@ -98,6 +100,7 @@ class Closure:
     """A lambda together with its captured environment."""
 
     __slots__ = ("lam", "env")
+    CHILDREN = ("env",)
 
     def __init__(self, lam, env: Env):
         self.lam = lam
@@ -114,6 +117,7 @@ class Capsule:
     stopped."""
 
     __slots__ = ("k", "f")
+    CHILDREN = ("k", "f")
 
     def __init__(self, k, f):
         self.k = k

@@ -4,21 +4,17 @@ from __future__ import annotations
 
 import math
 import struct
-import sys
 from pathlib import Path
 
 import pytest
 
-sys.setrecursionlimit(200000)
-
-import ckad  # noqa: E402
-from ckad.ast import (CheckpointReverseJ, ForwardJ,  # noqa: E402
-                      ReverseJ, Binary)
-from ckad.cps import CpsMachine  # noqa: E402
-from ckad.drivers import RunConfig  # noqa: E402
-from ckad.extended import ExtendedMachine  # noqa: E402
-from ckad.parser import Program, parse_program  # noqa: E402
-from ckad.values import EMPTY, Pair  # noqa: E402
+import ckad
+from ckad.ast import CheckpointReverseJ, ForwardJ, ReverseJ, Binary
+from ckad.cps import CpsMachine
+from ckad.drivers import RunConfig
+from ckad.extended import ExtendedMachine
+from ckad.parser import Program, parse_program
+from ckad.values import EMPTY, Pair
 
 CORPUS_DIR = Path(ckad.__file__).parent / "corpus"
 

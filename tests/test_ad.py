@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 from ckad.ad import (FlatSensitivity, bundle, collect_leaves, forward_j,
                      lift_binary, lift_unary, map_structure, reverse_j,
                      unbundle)
+from ckad.direct import run_program_direct
 from ckad.errors import CotangentShapeError
+from ckad.parser import parse_program
 from ckad.values import EMPTY, Pair
 
-from conftest import assert_close, central_fd, rel_err
+from conftest import assert_close, central_fd, rel_err, run_value
 
 
 def apply_py(f, x):
@@ -154,6 +156,44 @@ def test_shared_leaf_gets_one_tape_cell_and_accumulates():
     # one cell, so the cotangent accumulates both paths
     assert xbar.car == 2.0 and xbar.cdr == 2.0
     assert xbar.car is xbar.cdr
+
+
+def test_shared_output_leaf_sums_its_mirrored_cotangents():
+    # every position of a shared output leaf adds its cotangent
+    def f(x):
+        return Pair(x, x)
+    _y, xbar = reverse_j(f, 3.0, Pair(1.0, 1.0), apply_py)
+    assert xbar == 2.0
+    _y, xbar = reverse_j(f, 3.0, Pair(1.0, 2.0), apply_py)
+    assert xbar == 3.0
+
+    def g(x):
+        p = Pair(x, lift_binary("*", x, x))
+        return Pair(p, p)  # a shared pair: its leaves occur twice
+    _y, xbar = reverse_j(g, 3.0, Pair(Pair(1.0, 0.0), Pair(0.5, 1.0)),
+                         apply_py)
+    assert xbar == 1.0 + 0.5 + 2 * 3.0
+
+
+@pytest.mark.parametrize("pipeline", ["direct", "a", "b"])
+def test_shared_output_leaf_in_programs(pipeline):
+    cases = [("(*j (lambda (x) (cons x x)) 3.0 (cons 1.0 1.0))", 2.0),
+             ("(checkpoint-*j (lambda (x) (cons x x)) 3.0 (cons 1.0 2.0))",
+              3.0)]
+    for source, expected in cases:
+        program = parse_program(source)
+        if pipeline == "direct":
+            result = run_program_direct(program)
+        else:
+            result = run_value(program, pipeline=pipeline)
+        assert result.cdr == expected, source
+
+
+def test_shared_input_leaf_takes_first_mirrored_tangent():
+    a = 1.0
+    x = Pair(a, a)  # the same float object in both slots
+    _y, yt = forward_j(lambda p: p, x, Pair(1.0, 5.0), apply_py)
+    assert yt.car == 1.0 and yt.cdr == 1.0
 
 
 def test_distinct_leaves_get_distinct_cells():

@@ -96,6 +96,15 @@ def test_run_rejects_bad_criterion(runner):
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize("criterion", ["fixed-space=0", "fixed-time=-2"])
+def test_run_rejects_criterion_budget_below_one(runner, criterion):
+    # a usage error before any evaluation, not a traceback from the driver
+    res = invoke(runner, "run", str(CORPUS_DIR / "loop_linear.cvl"),
+                 "--criterion", criterion)
+    assert res.exit_code == 2
+    assert "needs" in res.output
+
+
 def test_bench_example_single_size(runner):
     res = invoke(runner, "bench", "example", "--n", "2", "--l", "8")
     assert res.exit_code == 0

@@ -14,7 +14,7 @@ from ckad.drivers import (INF_BUDGET, MIN_ALPHA, FixedSpace, FixedTime,
                           checkpoint_reverse_treeverse, criterion_name, eta,
                           mid, parse_criterion, pick, run_checkpoint,
                           schedule_oracle)
-from ckad.errors import CkadError, EvalError
+from ckad.errors import CkadError, ConfigError, EvalError
 from ckad.extended import ExtendedMachine
 from ckad.metrics import METER
 from ckad.parser import parse_program
@@ -83,9 +83,10 @@ def test_pick_enforces_min_alpha():
 
 
 def test_pick_rejects_bad_budgets():
-    with pytest.raises(ValueError):
+    # the criterion itself rejects a budget below 1, before pick runs
+    with pytest.raises(ConfigError):
         pick(FixedSpace(0), 100)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         pick(FixedTime(0), 100)
 
 
