@@ -6,7 +6,8 @@ Public surface:
 
 * :mod:`ckad.parser` — the ``.cvl`` reader
 * :mod:`ckad.direct` — the plain direct-style evaluator
-* :mod:`ckad.cps` — the step-counting CPS interpreter (pipeline A)
+* :mod:`ckad.cps` — the step-counting CPS interpreter (pipeline A) and
+  ``Machine``, the host interface both pipelines share
 * :mod:`ckad.extended` — CPS-converted code on a direct evaluator (pipeline B)
 * :mod:`ckad.ad` — forward (dual numbers) and reverse (tape) modes, nestable
 * :mod:`ckad.drivers` — checkpointing drivers, split strategies, criteria

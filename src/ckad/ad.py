@@ -288,6 +288,43 @@ def _d_binary(op, a, b):
     raise EvalError(f"unknown binary operator: {op}")
 
 
+def apply_unary(op, v):
+    """A unary primitive of the language on any value."""
+    if op in _PRIM_UNARY:
+        return lift_unary(op, v)
+    if op == "zero?":
+        return deep_primal(v) == 0.0
+    if op == "null?":
+        return v is EMPTY
+    if op == "car":
+        if type(v) is not Pair:
+            raise EvalError(f"car of a non-pair: {v!r}")
+        return v.car
+    if op == "cdr":
+        if type(v) is not Pair:
+            raise EvalError(f"cdr of a non-pair: {v!r}")
+        return v.cdr
+    raise EvalError(f"unknown unary operator: {op}")
+
+
+_COMPARISONS = frozenset(["<", "<=", "="])
+
+
+def apply_binary(op, a, b):
+    """A binary primitive of the language on any values."""
+    if op == "cons":
+        return Pair(a, b)
+    if op in _COMPARISONS:
+        pa = deep_primal(a)
+        pb = deep_primal(b)
+        if op == "<":
+            return pa < pb
+        if op == "<=":
+            return pa <= pb
+        return pa == pb
+    return lift_binary(op, a, b)
+
+
 # ---------------------------------------------------------------------------
 # the leaf index
 # ---------------------------------------------------------------------------

@@ -176,7 +176,6 @@ def selftest() -> None:
     from .cps import CpsMachine
     from .drivers import FixedSpace, Logarithmic
     from .extended import ExtendedMachine
-    from .values import Capsule
 
     failures = 0
 
@@ -206,27 +205,25 @@ def selftest() -> None:
     check("gradient is finite", isinstance(grad, float)
           and grad == grad and abs(grad) != float("inf"))
 
-    for crit in (Logarithmic(), FixedSpace(3)):
-        cfg = RunConfig(mode="checkpoint", algorithm="binary",
-                        split="bisection", criterion=crit, alpha=16)
-        ck, _ = CpsMachine(cfg).run_program(
-            parse_program(src.replace("*j main", "checkpoint-*j main", 1)))
-        check(f"checkpoint == reverse ({crit})",
-              format_value(ck) == format_value(ref))
-
+    checkpoint_src = src.replace("*j main", "checkpoint-*j main", 1)
     pair_src = src.replace("(*j main 1.3 1.0)", "(cons main 1.3)")
-    m = CpsMachine(RunConfig(mode="reverse"))
-    pair, _ = m.run_program(parse_program(pair_src))
-    f, x = pair.car, pair.cdr
-    y = m.apply(f, x)
-    L = m.primops(f, x)
-    sound = True
-    for budget in (1, 7, L // 2, L - 1):
-        v = m.interrupt(f, x, budget)
-        while isinstance(v, Capsule):
-            v = m.resume(v)
-        sound = sound and v == y
-    check("interrupt/resume soundness", sound)
+    for machine in (CpsMachine, ExtendedMachine):
+        for crit in (Logarithmic(), FixedSpace(3)):
+            cfg = RunConfig(mode="checkpoint", algorithm="binary",
+                            split="bisection", criterion=crit, alpha=16)
+            ck, _ = machine(cfg).run_program(parse_program(checkpoint_src))
+            check(f"checkpoint == reverse ({crit}, pipeline {machine.name})",
+                  format_value(ck) == format_value(ref))
+
+        # through the host interface both pipelines share
+        m = machine(RunConfig(mode="reverse"))
+        pair, _ = m.run_program(parse_program(pair_src))
+        f, x = pair.car, pair.cdr
+        y = m.apply(f, x)
+        L = m.primops(f, x)
+        check(f"interrupt/resume soundness (pipeline {m.name})",
+              all(m.resume(m.interrupt(f, x, budget)) == y
+                  for budget in (1, 7, L // 2, L - 1)))
 
     if failures:
         sys.exit(1)

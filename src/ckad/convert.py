@@ -13,8 +13,8 @@ count and limit; operand temporaries are ``%x1``, ``%x2``, ...  The ``%``
 prefix cannot appear in user identifiers, so no capture is possible.
 
 Input programs may not contain the machinery forms (interrupt/resume);
-those exist in converted code only inside the wrappers built by
-:meth:`ckad.extended.ExtendedMachine.make_I` / ``make_R``.
+those exist in converted code only inside the wrappers that
+:meth:`ckad.cps.Machine.make_I` / ``make_R`` build on pipeline B.
 """
 
 from __future__ import annotations
@@ -215,7 +215,7 @@ def convert_top(e, gensym: _Gensym | None = None):
     return convert(e, Var(K), Var(N), Var(L), gensym)
 
 
-# prebuilt wrapper bodies used by the extended machine's make_I / make_R;
+# prebuilt wrapper lambdas of pipeline B's make_I / make_R;
 # the captured budget lives in %b so the bound contextual limit %l cannot
 # shadow it
 I_LAMBDA4 = Lambda4(K, N, L, "%x", Interrupt(Var("%f"), Var("%x"), Var("%b")))

@@ -1,4 +1,5 @@
-"""Step-counting CPS evaluator with general interruption and resumption.
+"""Step-counting CPS evaluator (pipeline A) and the host interface both
+pipelines share.
 
 The machine threads a step count ``n`` and a step limit ``l`` through
 evaluation.  Entering the evaluator on any expression first checks the
@@ -18,17 +19,11 @@ Step accounting (checked by the tests):
   finish a computation after an interruption at budget ``l`` are exactly
   ``total - l``.
 
-Host entry points:
-
-* ``primops(f, x)``    — run to completion, return the step count;
-* ``interrupt(f, x, l)`` — run for ``l`` steps, return a capsule (or
-  raise :class:`RanToCompletionError` if the run finishes early);
-* ``resume(z)``        — run a capsule to completion, return its value;
-* ``make_I(f, l)``     — a closure that behaves like ``f`` but
-  interrupts itself after ``l`` steps;
-* ``make_R()``         — the closure that resumes a capsule;
-* ``steps``            — the step count of the last run that delivered its
-  value to the host (so a taped run reports its own length).
+:class:`Machine` implements the host entry points the drivers and the AD
+operators call (``apply``, ``primops``, ``interrupt``, ``resume``,
+``make_I``, ``make_R``, ``reverse_base`` and ``steps``) once, on top of two
+runners each pipeline supplies: :class:`CpsMachine` here and
+:class:`ckad.extended.ExtendedMachine` for converted code.
 """
 
 from __future__ import annotations
@@ -36,19 +31,11 @@ from __future__ import annotations
 from .ast import (Interrupt, Lambda, Resume, T_APP, T_BINARY,
                   T_CHECKPOINT_J, T_CONST, T_FORWARD_J, T_IF, T_INTERRUPT,
                   T_LAMBDA, T_REVERSE_J, T_RESUME, T_UNARY, T_VAR, Var)
-from .ad import forward_j, reverse_j
-from .direct import _apply_binary, _apply_unary, make_closure
+from .ad import apply_binary, apply_unary, forward_j, reverse_j
 from .errors import EvalError, NotAFunctionError, RanToCompletionError
 from .parser import Program
-from .values import BOTTOM, INFINITY, Capsule, Closure, Env, Pair
-
-
-class _Done:
-    __slots__ = ("v", "n")
-
-    def __init__(self, v, n):
-        self.v = v
-        self.n = n
+from .values import (BOTTOM, INFINITY, Capsule, Closure, Env, Pair,
+                     make_closure)
 
 
 # -- defunctionalized continuations -----------------------------------------
@@ -187,12 +174,6 @@ class KResume:
 # one-parameter lambda whose (ignored) parameter receives BOTTOM on resume.
 _IGNORED = "%_"
 
-# Body of the interrupting wrapper built by make_I.  The captured budget
-# lives in its own variable so the contextual limit cannot shadow it.
-_I_LAMBDA = Lambda("%x", Interrupt(Var("%f"), Var("%x"), Var("%b")))
-_R_LAMBDA = Lambda("%z", Resume(Var("%z")))
-_R_CLOSURE = Closure(_R_LAMBDA, Env({}, None))
-
 
 def host_ad(machine, form, f, x, sensitivity):
     """Apply the AD operator with source tag ``form`` to ``f`` at ``x``;
@@ -209,24 +190,82 @@ def host_ad(machine, form, f, x, sensitivity):
     return Pair(y, xbar)
 
 
-class CpsMachine:
-    """The interruptible evaluator plus its host-level entry points.
+class Machine:
+    """The host entry points, shared by both pipelines.
 
-    ``config`` (a :class:`ckad.drivers.RunConfig` or None) selects how the
-    checkpointing reverse operator is carried out when a program uses it.
+    A pipeline supplies ``I_LAMBDA`` (the lambda of :meth:`make_I`'s
+    wrapper; the captured budget lives in ``%b`` so the contextual limit
+    cannot shadow it), ``R_CLOSURE`` and two runners:
+
+    * ``_start(f, x, l)`` applies ``f`` to ``x`` from count 0 under limit
+      ``l`` and returns the value or a capsule;
+    * ``_restart(z)`` runs capsule ``z`` with no limit.
+
+    ``steps`` is the count of the last run that delivered its value to the
+    host (so a taped run reports its own length).  ``config`` (a
+    :class:`ckad.drivers.RunConfig` or None) selects how the checkpointing
+    reverse operator is carried out when a program uses it.
     """
-
-    name = "a"
 
     def __init__(self, config=None):
         self.config = config
-        self.steps = None  # count of the last run to reach K_HOST
+        self.steps = None
+
+    def apply(self, f, x):
+        """Apply ``f`` to ``x`` with no limit; the result may be a capsule
+        if the computation interrupts itself (an I-wrapped function)."""
+        return self._start(f, x, INFINITY)
+
+    def primops(self, f, x) -> int:
+        """Number of evaluator steps ``f`` takes on ``x``."""
+        if type(self._start(f, x, INFINITY)) is Capsule:
+            raise EvalError("primops: the computation interrupted itself")
+        return self.steps
+
+    def interrupt(self, f, x, l: int) -> Capsule:
+        """Run ``f`` on ``x`` for exactly ``l`` steps and capture the rest."""
+        res = self._start(f, x, l)
+        if type(res) is Capsule:
+            return res
+        raise RanToCompletionError(
+            f"computation finished in {self.steps} steps, within the "
+            f"budget {l}")
+
+    def resume(self, z: Capsule):
+        """Run an interrupted computation to completion."""
+        if type(z) is not Capsule:
+            raise EvalError(f"resume expects a capsule, got {z!r}")
+        res = self._restart(z)
+        if type(res) is Capsule:
+            raise EvalError("resumed computation interrupted itself")
+        return res
+
+    def make_I(self, f, l) -> Closure:
+        """A closure that runs ``f`` but interrupts after ``l`` steps."""
+        return Closure(self.I_LAMBDA, Env({"%f": f, "%b": l}, None))
+
+    def make_R(self) -> Closure:
+        """The closure that resumes a capsule passed to it."""
+        return self.R_CLOSURE
+
+    def reverse_base(self, f, x, y_cotangent):
+        """Plain (taping) reverse mode through this machine."""
+        return reverse_j(f, x, y_cotangent, self.apply)
+
+
+class CpsMachine(Machine):
+    """Pipeline A: the interruptible evaluator over source expressions."""
+
+    name = "a"
+    I_LAMBDA = Lambda("%x", Interrupt(Var("%f"), Var("%x"), Var("%b")))
+    R_CLOSURE = Closure(Lambda("%z", Resume(Var("%z"))), Env({}, None))
 
     # -- the machine ---------------------------------------------------------
 
     def run_apply(self, k, n, l, f, v):
         """Apply closure ``f`` to ``v`` under continuation ``k`` with count
-        ``n`` and limit ``l``.  Returns ``_Done`` or a ``Capsule``."""
+        ``n`` and limit ``l``.  Returns the value the run delivers to
+        ``K_HOST`` (setting ``steps``) or a ``Capsule``."""
         if type(f) is not Closure or f.lam.TAG != T_LAMBDA:
             raise NotAFunctionError(f"not a function: {f!r}")
         env = f.env.extend(f.lam.param, v)
@@ -307,7 +346,7 @@ class CpsMachine:
                     k = KBin2(k.op, val, k.k)
                     break
                 if kt == 6:  # KBin2
-                    val = _apply_binary(k.op, k.left, val)
+                    val = apply_binary(k.op, k.left, val)
                     k = k.k
                     continue
                 if kt == 3:  # KIf
@@ -322,7 +361,7 @@ class CpsMachine:
                     k = k.k
                     break
                 if kt == 4:  # KUnary
-                    val = _apply_unary(k.op, val)
+                    val = apply_unary(k.op, val)
                     k = k.k
                     continue
                 if kt == 7:  # KAd1
@@ -378,53 +417,13 @@ class CpsMachine:
                     break
                 # KHost
                 self.steps = n
-                return _Done(val, n)
+                return val
 
-    # -- host entry points -----------------------------------------------------
+    def _start(self, f, x, l):
+        return self.run_apply(K_HOST, 0, l, f, x)
 
-    def apply(self, f, x):
-        """Apply ``f`` to ``x`` with no limit; the result may be a capsule
-        if the computation interrupts itself (an I-wrapped function)."""
-        res = self.run_apply(K_HOST, 0, INFINITY, f, x)
-        if type(res) is Capsule:
-            return res
-        return res.v
-
-    def primops(self, f, x) -> int:
-        """Number of evaluator steps ``f`` takes on ``x``."""
-        res = self.run_apply(K_HOST, 0, INFINITY, f, x)
-        if type(res) is Capsule:
-            raise EvalError("primops: the computation interrupted itself")
-        return res.n
-
-    def interrupt(self, f, x, l: int) -> Capsule:
-        """Run ``f`` on ``x`` for exactly ``l`` steps and capture the rest."""
-        res = self.run_apply(K_HOST, 0, l, f, x)
-        if type(res) is Capsule:
-            return res
-        raise RanToCompletionError(
-            f"computation finished in {res.n} steps, within the budget {l}")
-
-    def resume(self, z: Capsule):
-        """Run an interrupted computation to completion."""
-        if type(z) is not Capsule:
-            raise EvalError(f"resume expects a capsule, got {z!r}")
-        res = self.run_apply(z.k, 0, INFINITY, z.f, BOTTOM)
-        if type(res) is Capsule:
-            raise EvalError("resumed computation interrupted itself")
-        return res.v
-
-    def make_I(self, f, l) -> Closure:
-        """A closure that runs ``f`` but interrupts after ``l`` steps."""
-        return Closure(_I_LAMBDA, Env({"%f": f, "%b": l}, None))
-
-    def make_R(self) -> Closure:
-        """The closure that resumes a capsule passed to it."""
-        return _R_CLOSURE
-
-    def reverse_base(self, f, x, y_cotangent):
-        """Plain (taping) reverse mode through this machine."""
-        return reverse_j(f, x, y_cotangent, self.apply)
+    def _restart(self, z):
+        return self.run_apply(z.k, 0, INFINITY, z.f, BOTTOM)
 
     # -- whole programs ----------------------------------------------------------
 
@@ -434,10 +433,9 @@ class CpsMachine:
             if expr.TAG == T_LAMBDA:
                 genv.frame[name] = Closure(expr, genv)
             else:
-                res = self.run_apply(
+                genv.frame[name] = self.run_apply(
                     K_HOST, 0, INFINITY,
                     Closure(Lambda(_IGNORED, expr), genv), BOTTOM)
-                genv.frame[name] = res.v
         return genv
 
     def run_program(self, program: Program):
@@ -445,7 +443,7 @@ class CpsMachine:
         genv = self.install(program)
         if program.body is None:
             raise EvalError("program has no body expression")
-        res = self.run_apply(
+        value = self.run_apply(
             K_HOST, 0, INFINITY,
             Closure(Lambda(_IGNORED, program.body), genv), BOTTOM)
-        return res.v, res.n
+        return value, self.steps

@@ -14,12 +14,11 @@ evaluation; this matches the step accounting of the CPS evaluator
 from __future__ import annotations
 
 from .ast import (T_APP, T_BINARY, T_CHECKPOINT_J, T_CONST, T_FORWARD_J,
-                  T_IF, T_LAMBDA, T_REVERSE_J, T_UNARY, T_VAR, Lambda,
-                  free_variables)
-from .ad import deep_primal, forward_j, lift_binary, lift_unary, reverse_j
+                  T_IF, T_LAMBDA, T_REVERSE_J, T_UNARY, T_VAR, free_variables)
+from .ad import apply_binary, apply_unary, forward_j, reverse_j
 from .errors import EvalError, NotAFunctionError
 from .parser import Program
-from .values import EMPTY, Closure, Env, Pair
+from .values import Closure, Env, Pair, make_closure
 
 
 class StepCounter:
@@ -27,18 +26,6 @@ class StepCounter:
 
     def __init__(self):
         self.n = 0
-
-
-def make_closure(lam: Lambda, env: Env) -> Closure:
-    """Close ``lam`` over exactly its free variables (one flat frame)."""
-    fvs = lam.fvs
-    if fvs is None:
-        fvs = free_variables(lam)
-    frame = {}
-    lookup = env.lookup
-    for name in fvs:
-        frame[name] = lookup(name)
-    return Closure(lam, Env(frame, None))
 
 
 _OP_EV = 0
@@ -113,54 +100,17 @@ def eval_direct(e, env: Env, counter: StepCounter | None = None):
                 raise EvalError(f"if condition must be a boolean, got {c!r}")
         elif op == _OP_UNARY:
             v = vals.pop()
-            vals.append(_apply_unary(item[1], v))
+            vals.append(apply_unary(item[1], v))
         elif op == _OP_BINARY:
             b = vals.pop()
             a = vals.pop()
-            vals.append(_apply_binary(item[1], a, b))
+            vals.append(apply_binary(item[1], a, b))
         else:  # _OP_AD
             v3 = vals.pop()
             v2 = vals.pop()
             v1 = vals.pop()
             vals.append(_apply_ad(item[1], v1, v2, v3))
     return vals[-1]
-
-
-_COMPARISONS = frozenset(["<", "<=", "="])
-_NUMERIC_UNARY = frozenset(["sqrt", "sin", "cos", "exp", "log", "atan",
-                            "floor"])
-
-
-def _apply_unary(op, v):
-    if op in _NUMERIC_UNARY:
-        return lift_unary(op, v)
-    if op == "zero?":
-        return deep_primal(v) == 0.0
-    if op == "null?":
-        return v is EMPTY
-    if op == "car":
-        if type(v) is not Pair:
-            raise EvalError(f"car of a non-pair: {v!r}")
-        return v.car
-    if op == "cdr":
-        if type(v) is not Pair:
-            raise EvalError(f"cdr of a non-pair: {v!r}")
-        return v.cdr
-    raise EvalError(f"unknown unary operator: {op}")
-
-
-def _apply_binary(op, a, b):
-    if op == "cons":
-        return Pair(a, b)
-    if op in _COMPARISONS:
-        pa = deep_primal(a)
-        pb = deep_primal(b)
-        if op == "<":
-            return pa < pb
-        if op == "<=":
-            return pa <= pb
-        return pa == pb
-    return lift_binary(op, a, b)
 
 
 def _apply_ad(tag, f, x, sensitivity):

@@ -1,15 +1,9 @@
 """Divide-and-conquer checkpointing drivers for the reverse AD operator.
 
-All drivers work against a *pipeline* object exposing the host-level
-interruption interface:
-
-* ``primops(f, x)``        — measure the step length of a run
-* ``interrupt(f, x, l)``   — advance ``l`` steps, returning a capsule
-* ``make_I(f, l)``         — wrap ``f`` to interrupt itself after ``l`` steps
-* ``make_R()``             — the capsule-resuming closure
-* ``reverse_base(f, x, ybar)`` — plain taping reverse mode
-* ``steps``                — the step count of the last run that reached
-  the host's bottom continuation; reverse mode reads ``L`` from it
+All drivers work against a *pipeline*, a :class:`ckad.cps.Machine`: they
+measure with ``primops``, advance with ``interrupt``, wrap with ``make_I``
+and ``make_R``, tape leaves with ``reverse_base``, and reverse mode reads
+``L`` from ``steps``.
 
 A driver reverses an ``L``-step computation by repeatedly splitting the
 execution interval at a point chosen by :func:`mid`: it advances a capsule

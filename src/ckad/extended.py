@@ -8,10 +8,10 @@ evaluator is therefore a flat loop over (environment, expression) states;
 it returns when it reaches a terminal operand (the body of a host-level
 bottom continuation) or when a limit check packages a capsule.
 
-The machine exposes the same host interface as :class:`ckad.cps.CpsMachine`
-(`apply`, `primops`, `interrupt`, `resume`, `make_I`, `make_R`,
-`reverse_base`), so the checkpointing drivers run unchanged on either
-pipeline.
+The machine inherits its host interface from :class:`ckad.cps.Machine`,
+as :class:`ckad.cps.CpsMachine` does, and supplies only the two runners
+and the converted-code ``make_I``/``make_R`` lambdas; so the checkpointing
+drivers run unchanged on either pipeline.
 """
 
 from __future__ import annotations
@@ -19,18 +19,16 @@ from __future__ import annotations
 from .ast import (T_APP3, T_APP4, T_BINARY, T_CONST, T_HOSTOP, T_IF,
                   T_INTERRUPT, T_LAMBDA3, T_LAMBDA4, T_LIMIT, T_RESUME,
                   T_UNARY, T_VAR, Lambda3, Var)
-from .ad import reverse_j
+from .ad import apply_binary, apply_unary
 from .convert import (I_LAMBDA4, K, L, N, R_LAMBDA4, _Gensym, convert_lambda,
                       convert_top, converted_free_variables)
-from .cps import host_ad
-from .direct import _apply_binary, _apply_unary
-from .errors import EvalError, NotAFunctionError, RanToCompletionError
+from .cps import Machine, host_ad
+from .errors import EvalError, NotAFunctionError
 from .parser import Program
 from .values import BOTTOM, INFINITY, Capsule, Closure, Env, Pair
 
-# host-level bottom continuations (genuine converted-code values)
+# the host-level bottom continuation (a genuine converted-code value)
 K3_VALUE = Closure(Lambda3(N, L, "%v", Var("%v")), Env({}, None))
-K3_COUNT = Closure(Lambda3(N, L, "%v", Var(N)), Env({}, None))
 
 
 def _restrict(env: Env, fvs) -> Env:
@@ -119,12 +117,12 @@ def _canonical(root):
     return memo.get(id(root), root)
 
 
-class ExtendedMachine:
-    name = "b"
+class ExtendedMachine(Machine):
+    """Pipeline B: the evaluator for converted code."""
 
-    def __init__(self, config=None):
-        self.config = config
-        self.steps = None  # count of the last run to finish
+    name = "b"
+    I_LAMBDA = I_LAMBDA4
+    R_CLOSURE = Closure(R_LAMBDA4, Env({}, None))
 
     # -- the evaluator ---------------------------------------------------------
 
@@ -229,9 +227,9 @@ class ExtendedMachine:
                 # count arithmetic stays in machine integers
                 if e.op == "+":
                     return a + b
-            return _apply_binary(e.op, a, b)
+            return apply_binary(e.op, a, b)
         if tag == T_UNARY:
-            return _apply_unary(e.op, self._operand(env, e.arg))
+            return apply_unary(e.op, self._operand(env, e.arg))
         if tag == T_HOSTOP:
             f = self._operand(env, e.e1)
             x = self._operand(env, e.e2)
@@ -240,7 +238,7 @@ class ExtendedMachine:
         raise EvalError(
             f"unexpected node in operand position: tag {tag}")
 
-    # -- host entry points --------------------------------------------------------
+    # -- the runners ---------------------------------------------------------------
 
     def apply4(self, f, k, n, l, v):
         if type(f) is not Closure or f.lam.TAG != T_LAMBDA4:
@@ -250,41 +248,11 @@ class ExtendedMachine:
                   f.env)
         return self._run(env, lam.body)
 
-    def apply(self, f, x):
-        return self.apply4(f, K3_VALUE, 0, INFINITY, x)
+    def _start(self, f, x, l):
+        return self.apply4(f, K3_VALUE, 0, l, x)
 
-    def primops(self, f, x) -> int:
-        res = self.apply4(f, K3_COUNT, 0, INFINITY, x)
-        if type(res) is Capsule:
-            raise EvalError("primops: the computation interrupted itself")
-        return res
-
-    def interrupt(self, f, x, l: int) -> Capsule:
-        res = self.apply4(f, K3_VALUE, 0, l, x)
-        if type(res) is Capsule:
-            return res
-        raise RanToCompletionError(
-            f"computation finished within the budget {l}")
-
-    def resume(self, z: Capsule):
-        if type(z) is not Capsule:
-            raise EvalError(f"resume expects a capsule, got {z!r}")
-        lam = z.f.lam
-        env = Env({lam.k: z.k, lam.n: -lam.n_offset, lam.l: INFINITY,
-                   lam.x: BOTTOM}, z.f.env)
-        res = self._run(env, lam.body)
-        if type(res) is Capsule:
-            raise EvalError("resumed computation interrupted itself")
-        return res
-
-    def make_I(self, f, l) -> Closure:
-        return Closure(I_LAMBDA4, Env({"%f": f, "%b": l}, None))
-
-    def make_R(self) -> Closure:
-        return Closure(R_LAMBDA4, Env({}, None))
-
-    def reverse_base(self, f, x, y_cotangent):
-        return reverse_j(f, x, y_cotangent, self.apply)
+    def _restart(self, z):
+        return self.apply4(z.f, z.k, 0, INFINITY, BOTTOM)
 
     # -- whole programs --------------------------------------------------------------
 

@@ -96,34 +96,32 @@ class _SExpr:
         self.col = col
 
 
+#: Deepest list nesting the parser accepts.  The reader and the desugarer
+#: keep their own stacks; later passes over the tree (free variables, CPS
+#: conversion) recurse once per level.
+MAX_NESTING = 1000
+
+
 def _read_all(tokens: list[_Token]):
-    pos = 0
     forms = []
-
-    def read():
-        nonlocal pos
-        if pos >= len(tokens):
-            last = tokens[-1] if tokens else _Token("", 1, 1)
-            raise ParseError("unexpected end of input", last.line, last.col)
-        tok = tokens[pos]
-        pos += 1
+    open_lists = []  # (opening token, items) of each list being read
+    for tok in tokens:
         if tok.text == "(":
-            items = []
-            while True:
-                if pos >= len(tokens):
-                    raise ParseError("missing closing parenthesis",
-                                     tok.line, tok.col)
-                if tokens[pos].text == ")":
-                    pos += 1
-                    return _SExpr(items, tok.line, tok.col)
-                items.append(read())
+            if len(open_lists) == MAX_NESTING:
+                raise ParseError(f"lists nested deeper than {MAX_NESTING} "
+                                 "levels", tok.line, tok.col)
+            open_lists.append((tok, []))
+            continue
         if tok.text == ")":
-            raise ParseError("unexpected closing parenthesis",
-                             tok.line, tok.col)
-        return tok
-
-    while pos < len(tokens):
-        forms.append(read())
+            if not open_lists:
+                raise ParseError("unexpected closing parenthesis",
+                                 tok.line, tok.col)
+            start, items = open_lists.pop()
+            tok = _SExpr(items, start.line, start.col)
+        (open_lists[-1][1] if open_lists else forms).append(tok)
+    if open_lists:
+        start = open_lists[-1][0]
+        raise ParseError("missing closing parenthesis", start.line, start.col)
     return forms
 
 
@@ -157,9 +155,9 @@ def _pos(form):
     return form.line, form.col
 
 
-def _expr(form) -> Expr:
-    if isinstance(form, _Token):
-        return _atom_to_expr(form)
+def _desugar(form):
+    """Desugar list ``form``: a generator that yields each subform it needs
+    as an expression and is sent that expression back (see :func:`_expr`)."""
     items = form.items
     if not items:
         raise ParseError("empty application", form.line, form.col)
@@ -174,7 +172,7 @@ def _expr(form) -> Expr:
             if not params or not all(isinstance(p, _Token) for p in params):
                 raise ParseError("lambda parameter list must be non-empty "
                                  "symbols", items[1].line, items[1].col)
-            body = _expr(items[2])
+            body = (yield items[2])
             for p in reversed(params):
                 if p.text in RESERVED or p.text.startswith("%"):
                     raise ParseError(f"bad parameter name: {p.text}",
@@ -184,7 +182,7 @@ def _expr(form) -> Expr:
         if text == "if":
             if len(items) != 4:
                 raise ParseError("if expects 3 subforms", form.line, form.col)
-            return If(_expr(items[1]), _expr(items[2]), _expr(items[3]))
+            return If((yield items[1]), (yield items[2]), (yield items[3]))
         if text in ("let", "let*"):
             if len(items) != 3 or not isinstance(items[1], _SExpr):
                 raise ParseError(f"{text} expects ({text} ((x e) ...) body)",
@@ -199,8 +197,8 @@ def _expr(form) -> Expr:
                 if name in RESERVED or name.startswith("%"):
                     raise ParseError(f"bad binding name: {name}",
                                      b.items[0].line, b.items[0].col)
-                bindings.append((name, _expr(b.items[1])))
-            body = _expr(items[2])
+                bindings.append((name, (yield b.items[1])))
+            body = (yield items[2])
             if text == "let*":
                 for name, rhs in reversed(bindings):
                     body = App(Lambda(name, body), rhs)
@@ -221,25 +219,47 @@ def _expr(form) -> Expr:
                                  form.line, form.col)
             cls = {"j*": ForwardJ, "*j": ReverseJ,
                    "checkpoint-*j": CheckpointReverseJ}[text]
-            return cls(_expr(items[1]), _expr(items[2]), _expr(items[3]))
+            return cls((yield items[1]), (yield items[2]), (yield items[3]))
         if text in UNARY_OPS:
             if len(items) != 2:
                 raise ParseError(f"{text} expects 1 argument",
                                  form.line, form.col)
-            return Unary(text, _expr(items[1]))
+            return Unary(text, (yield items[1]))
         if text in BINARY_OPS:
             if len(items) != 3:
                 raise ParseError(f"{text} expects 2 arguments",
                                  form.line, form.col)
-            return Binary(text, _expr(items[1]), _expr(items[2]))
+            return Binary(text, (yield items[1]), (yield items[2]))
     # general application, curried
     if len(items) < 2:
         raise ParseError("application needs at least one argument",
                          form.line, form.col)
-    e = _expr(items[0])
+    e = (yield items[0])
     for arg in items[1:]:
-        e = App(e, _expr(arg))
+        e = App(e, (yield arg))
     return e
+
+
+def _expr(form) -> Expr:
+    """Desugar a read form.  The desugarers of the enclosing lists wait on
+    this loop's own stack, so nesting depth does not meet the recursion
+    limit."""
+    waiting = []
+    while True:
+        if isinstance(form, _Token):
+            value = _atom_to_expr(form)
+        else:
+            waiting.append(_desugar(form))
+            value = None
+        while waiting:
+            try:
+                form = waiting[-1].send(value)
+                break
+            except StopIteration as done:
+                waiting.pop()
+                value = done.value
+        else:  # no desugarer waits: value is the whole form's
+            return value
 
 
 def parse_program(src: str) -> Program:

@@ -23,6 +23,7 @@ that hold values in ``CHILDREN``, the order the AD leaf index walks them.
 
 from __future__ import annotations
 
+from .ast import free_variables
 from .errors import UnboundVariableError
 
 
@@ -47,6 +48,10 @@ BOTTOM = _Singleton("#bottom")
 #: behaviour the limit check needs.
 INFINITY = _Singleton("#infinity")
 
+# the separators Pair.__repr__ stacks between the parts of a pair
+_SPACE = _Singleton(" ")
+_CLOSE = _Singleton(")")
+
 
 class Pair:
     __slots__ = ("car", "cdr")
@@ -56,14 +61,25 @@ class Pair:
         self.cdr = cdr
 
     def __repr__(self) -> str:
-        return f"(cons {self.car!r} {self.cdr!r})"
+        # ``(cons car cdr)``, written with its own stack so that a long
+        # list formats at any recursion limit
+        parts = []
+        stack = [self]
+        while stack:
+            v = stack.pop()
+            if type(v) is Pair:
+                parts.append("(cons ")
+                stack += (_CLOSE, v.cdr, _SPACE, v.car)
+            else:
+                parts.append(repr(v))
+        return "".join(parts)
 
 
 class Env:
     """A frame of bindings plus an optional parent environment.
 
     User-level closures capture a single flat frame containing exactly the
-    free variables of their lambda (see :func:`ckad.direct.make_closure`),
+    free variables of their lambda (see :func:`make_closure`),
     except for closures installed by top-level definitions, which keep the
     global environment as their parent so that (mutually) recursive
     definitions resolve by late binding.
@@ -108,6 +124,19 @@ class Closure:
 
     def __repr__(self) -> str:
         return f"<closure {self.lam!r}>"
+
+
+def make_closure(lam, env: Env) -> Closure:
+    """Close source lambda ``lam`` over exactly its free variables (one
+    flat frame)."""
+    fvs = lam.fvs
+    if fvs is None:
+        fvs = free_variables(lam)
+    frame = {}
+    lookup = env.lookup
+    for name in fvs:
+        frame[name] = lookup(name)
+    return Closure(lam, Env(frame, None))
 
 
 class Capsule:

@@ -219,7 +219,8 @@ def test_criterion_03_interrupt_resume_soundness():
         z = m.interrupt(f, x, l)
         value_ok = bitwise_equal(m.resume(z), y)
         # the resumed count restarts at zero (pinned preamble constant: 0)
-        count_ok = m.run_apply(z.k, 0, INFINITY, z.f, BOTTOM).n == L - l
+        m.run_apply(z.k, 0, INFINITY, z.f, BOTTOM)
+        count_ok = m.steps == L - l
         if not (value_ok and count_ok):
             failures += 1
     ok = failures == 0

@@ -302,3 +302,14 @@ def test_third_order_nesting():
 
     _y, d3 = forward_j(d2, 2.0, 1.0, apply_py)
     assert abs(d3 - 48.0) <= 1e-9
+
+
+def test_shape_errors_on_a_deep_value_are_shape_errors():
+    # the error message formats the 1500-element list without recursing
+    deep = EMPTY
+    for i in range(1500):
+        deep = Pair(float(i), deep)
+    with pytest.raises(CotangentShapeError):
+        reverse_j(lambda x: Pair(x, 2.0), 1.0, Pair(deep, 1.0), apply_py)
+    with pytest.raises(CotangentShapeError):
+        forward_j(lambda x: x, 1.0, deep, apply_py)

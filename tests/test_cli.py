@@ -90,6 +90,14 @@ def test_run_reports_evaluation_errors(runner, tmp_path):
     assert "error" in res.output
 
 
+def test_run_reports_too_deep_nesting(runner, tmp_path):
+    deep = tmp_path / "deep.cvl"
+    deep.write_text("(+ 1.0 " * 1200 + "1.0" + ")" * 1200)
+    res = invoke(runner, "run", str(deep))
+    assert res.exit_code == 1
+    assert res.output.startswith("error: 1:7001: lists nested deeper")
+
+
 def test_run_rejects_bad_criterion(runner):
     res = invoke(runner, "run", str(CORPUS_DIR / "poly1.cvl"),
                  "--criterion", "sometimes")
@@ -138,3 +146,10 @@ def test_selftest_passes(runner):
     assert res.exit_code == 0
     assert "all self-tests passed" in res.output
     assert "FAIL" not in res.output
+    # checkpoint == reverse and interrupt/resume soundness on each pipeline
+    for p in ("a", "b"):
+        assert [line for line in res.output.splitlines()
+                if line.endswith(f"pipeline {p})")] == [
+            f"ok   checkpoint == reverse (Logarithmic(), pipeline {p})",
+            f"ok   checkpoint == reverse (FixedSpace(d=3), pipeline {p})",
+            f"ok   interrupt/resume soundness (pipeline {p})"]

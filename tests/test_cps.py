@@ -1,14 +1,17 @@
 """The step-counting CPS evaluator: semantics parity with the direct
-evaluator, frozen step accounting, and interrupt/resume behaviour."""
+evaluator, frozen step accounting, and interrupt/resume behaviour through
+the host interface, which the host-interface tests check on both
+pipelines."""
 
 import random
 
 import pytest
 
-from ckad.cps import CpsMachine, K_HOST
+from ckad.cps import CpsMachine
 from ckad.direct import StepCounter, run_program_direct
 from ckad.drivers import RunConfig
 from ckad.errors import EvalError, RanToCompletionError
+from ckad.extended import ExtendedMachine
 from ckad.parser import parse_program
 from ckad.values import BOTTOM, INFINITY, Capsule
 
@@ -86,22 +89,33 @@ def fn_and_arg(src=LOOP_SRC):
     return m, pair.car, pair.cdr
 
 
+# -- the host interface, shared by both pipelines ------------------------------
+# (pipeline B's own interface tests are in test_extended.py)
+
+def each_pipeline(src=LOOP_SRC):
+    """(machine, function, argument) on pipeline A, then on pipeline B."""
+    for cls in (CpsMachine, ExtendedMachine):
+        m = cls(RunConfig(mode="reverse"))
+        pair, _ = m.run_program(parse_program(src))
+        yield m, pair.car, pair.cdr
+
+
 def test_primops_measures_application_steps():
-    m, f, x = fn_and_arg()
-    L = m.primops(f, x)
-    assert L > 40 * 5  # at least a handful of steps per iteration
-    # deterministic
-    assert m.primops(f, x) == L
+    for m, f, x in each_pipeline():
+        L = m.primops(f, x)
+        assert L > 40 * 5  # at least a handful of steps per iteration
+        # deterministic, and left in steps
+        assert m.primops(f, x) == L == m.steps
 
 
 def test_interrupt_returns_capsule_then_resume_completes_bitwise():
-    m, f, x = fn_and_arg()
-    y = m.apply(f, x)
-    L = m.primops(f, x)
-    for l in (1, 2, 7, L // 3, L // 2, L - 1):
-        z = m.interrupt(f, x, l)
-        assert isinstance(z, Capsule)
-        assert bitwise_equal(m.resume(z), y)
+    for m, f, x in each_pipeline():
+        y = m.apply(f, x)
+        L = m.primops(f, x)
+        for l in (1, 2, 7, L // 3, L // 2, L - 1):
+            z = m.interrupt(f, x, l)
+            assert isinstance(z, Capsule)
+            assert bitwise_equal(m.resume(z), y)
 
 
 def test_resumed_step_count_is_total_minus_budget():
@@ -111,80 +125,84 @@ def test_resumed_step_count_is_total_minus_budget():
     L = m.primops(f, x)
     for l in (1, 13, L // 2, L - 1):
         z = m.interrupt(f, x, l)
-        res = m.run_apply(z.k, 0, INFINITY, z.f, BOTTOM)
-        assert res.n == L - l
+        m.run_apply(z.k, 0, INFINITY, z.f, BOTTOM)
+        assert m.steps == L - l
 
 
 def test_interrupt_budget_zero_captures_before_any_step():
-    m, f, x = fn_and_arg()
-    y = m.apply(f, x)
-    z = m.interrupt(f, x, 0)
-    assert bitwise_equal(m.resume(z), y)
+    for m, f, x in each_pipeline():
+        y = m.apply(f, x)
+        z = m.interrupt(f, x, 0)
+        assert bitwise_equal(m.resume(z), y)
 
 
 def test_interrupt_past_completion_raises():
-    m, f, x = fn_and_arg()
-    L = m.primops(f, x)
-    with pytest.raises(RanToCompletionError):
-        m.interrupt(f, x, L)
+    for m, f, x in each_pipeline():
+        L = m.primops(f, x)
+        for budget in (L, L + 5):
+            with pytest.raises(RanToCompletionError,
+                               match=f"finished in {L} steps, within the "
+                                     f"budget {budget}$"):
+                m.interrupt(f, x, budget)
 
 
 def test_make_I_wrapped_function_self_interrupts():
-    m, f, x = fn_and_arg()
-    y = m.apply(f, x)
-    L = m.primops(f, x)
-    fI = m.make_I(f, L // 2)
-    z = m.apply(fI, x)
-    assert isinstance(z, Capsule)
-    assert bitwise_equal(m.resume(z), y)
+    for m, f, x in each_pipeline():
+        y = m.apply(f, x)
+        L = m.primops(f, x)
+        fI = m.make_I(f, L // 2)
+        z = m.apply(fI, x)
+        assert isinstance(z, Capsule)
+        assert bitwise_equal(m.resume(z), y)
 
 
 def test_make_R_resumes_through_application():
-    m, f, x = fn_and_arg()
-    y = m.apply(f, x)
-    z = m.interrupt(f, x, 11)
-    assert bitwise_equal(m.apply(m.make_R(), z), y)
+    for m, f, x in each_pipeline():
+        y = m.apply(f, x)
+        z = m.interrupt(f, x, 11)
+        assert bitwise_equal(m.apply(m.make_R(), z), y)
 
 
 def test_chained_slices_reconstruct_the_whole_run():
     # cut the run into random slices with nested I-wrapping and resume
     # across all of them
-    m, f, x = fn_and_arg()
-    y = m.apply(f, x)
-    L = m.primops(f, x)
-    rng = random.Random(11)
-    cuts = sorted(rng.sample(range(1, L), 5))
-    z = m.interrupt(f, x, cuts[0])
-    prev = cuts[0]
-    for cut in cuts[1:]:
-        z = m.apply(m.make_I(m.make_R(), cut - prev), z)
-        assert isinstance(z, Capsule)
-        prev = cut
-    assert bitwise_equal(m.resume(z), y)
+    for m, f, x in each_pipeline():
+        y = m.apply(f, x)
+        L = m.primops(f, x)
+        rng = random.Random(11)
+        cuts = sorted(rng.sample(range(1, L), 5))
+        z = m.interrupt(f, x, cuts[0])
+        prev = cuts[0]
+        for cut in cuts[1:]:
+            z = m.apply(m.make_I(m.make_R(), cut - prev), z)
+            assert isinstance(z, Capsule)
+            prev = cut
+        assert bitwise_equal(m.resume(z), y)
 
 
 def test_interrupting_an_I_wrapped_function_rearms_the_residual_budget():
-    m, f, x = fn_and_arg()
-    y = m.apply(f, x)
-    L = m.primops(f, x)
-    fI = m.make_I(f, L - 2)  # would interrupt itself near the end
-    z = m.interrupt(fI, x, 10)  # but is interrupted earlier
-    # resuming runs up to the re-armed inner budget and interrupts again
-    z2 = m.apply(m.make_R(), z)
-    assert isinstance(z2, Capsule)
-    assert bitwise_equal(m.resume(z2), y)
+    for m, f, x in each_pipeline():
+        y = m.apply(f, x)
+        L = m.primops(f, x)
+        fI = m.make_I(f, L - 2)  # would interrupt itself near the end
+        z = m.interrupt(fI, x, 10)  # but is interrupted earlier
+        # resuming runs up to the re-armed inner budget and interrupts
+        # again
+        z2 = m.apply(m.make_R(), z)
+        assert isinstance(z2, Capsule)
+        assert bitwise_equal(m.resume(z2), y)
 
 
 def test_resume_of_non_capsule_rejected():
-    m, f, x = fn_and_arg()
-    with pytest.raises(EvalError):
-        m.resume(3.0)
+    for m, _f, _x in each_pipeline():
+        with pytest.raises(EvalError):
+            m.resume(3.0)
 
 
 def test_primops_of_self_interrupting_function_rejected():
-    m, f, x = fn_and_arg()
-    with pytest.raises(EvalError):
-        m.primops(m.make_I(f, 5), x)
+    for m, f, x in each_pipeline():
+        with pytest.raises(EvalError):
+            m.primops(m.make_I(f, 5), x)
 
 
 @pytest.mark.parametrize("name", CORPUS_SMALL[:6])
@@ -198,5 +216,5 @@ def test_corpus_interrupt_resume_roundtrip(name):
     for l in rng.sample(range(1, L), min(4, L - 1)):
         z = m.interrupt(f, x, l)
         assert bitwise_equal(m.resume(z), y)
-        res = m.run_apply(z.k, 0, INFINITY, z.f, BOTTOM)
-        assert res.n == L - l
+        m.run_apply(z.k, 0, INFINITY, z.f, BOTTOM)
+        assert m.steps == L - l

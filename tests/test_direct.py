@@ -14,7 +14,7 @@ from ckad.errors import (ArithmeticEvalError, EvalError,
 from ckad.parser import parse_program
 from ckad.values import EMPTY, Pair
 
-from conftest import bitwise_equal, floats_of
+from conftest import bitwise_equal, floats_of, run_value
 
 
 def run(src, counter=None):
@@ -99,6 +99,20 @@ def test_let_and_let_star():
 def test_if_requires_boolean():
     with pytest.raises(EvalError):
         run("(if 1.0 2.0 3.0)")
+
+
+@pytest.mark.parametrize("pipeline", ["direct", "a", "b"])
+def test_error_message_formats_a_deep_list(pipeline):
+    # the message shows the 1500-element list; formatting it must not
+    # recurse
+    program = parse_program("""
+    (define (mk n) (if (zero? n) nil (cons n (mk (- n 1.0)))))
+    (if (mk 1500.0) 1.0 2.0)""")
+    with pytest.raises(EvalError, match="if condition must be a boolean"):
+        if pipeline == "direct":
+            run_program_direct(program)
+        else:
+            run_value(program, pipeline=pipeline)
 
 
 def test_runtime_errors():

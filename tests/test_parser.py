@@ -136,3 +136,23 @@ def test_parse_error_carries_position():
         assert exc.line == 1 and exc.col == 1
     else:
         pytest.fail("expected a ParseError")
+
+
+def nested_sum(depth):
+    return "(+ 1.0 " * depth + "1.0" + ")" * depth
+
+
+def test_nesting_up_to_the_limit_parses_at_any_recursion_limit():
+    # the reader and the desugarer keep their own stacks
+    e = parse_expr(nested_sum(1000))
+    for _ in range(999):
+        e = e.right
+    assert isinstance(e, Binary) and e.right.value == 1.0
+
+
+def test_nesting_past_the_limit_is_a_parse_error_at_its_position():
+    with pytest.raises(ParseError) as info:
+        parse_program(nested_sum(1001))
+    # each level opens 7 columns after the last
+    assert (info.value.line, info.value.col) == (1, 7 * 1000 + 1)
+    assert "nested deeper than 1000" in str(info.value)
