@@ -14,7 +14,9 @@ Two node families share this module:
   ``HostOp`` for the AD operators appearing in converted code.
 
 Every node carries an integer ``TAG`` class attribute used for fast
-dispatch in the evaluators.
+dispatch in the evaluators, and two field lists: ``EXPRS`` names the
+fields that hold sub-expressions and ``BINDS`` the parameter fields of a
+lambda.  :func:`free_variables` walks either family through them.
 """
 
 from __future__ import annotations
@@ -44,6 +46,8 @@ T_HOSTOP = 17
 
 class Expr:
     __slots__ = ()
+    EXPRS = ()
+    BINDS = ()
 
 
 class Const(Expr):
@@ -65,16 +69,19 @@ class Var(Expr):
 class Lambda(Expr):
     __slots__ = ("param", "body", "fvs")
     TAG = T_LAMBDA
+    EXPRS = ("body",)
+    BINDS = ("param",)
 
     def __init__(self, param: str, body: Expr):
         self.param = param
         self.body = body
-        self.fvs = None  # cached tuple of free variable names
+        self.fvs = None  # free_variables(self), once computed
 
 
 class App(Expr):
     __slots__ = ("fn", "arg")
     TAG = T_APP
+    EXPRS = ("fn", "arg")
 
     def __init__(self, fn: Expr, arg: Expr):
         self.fn = fn
@@ -84,6 +91,7 @@ class App(Expr):
 class If(Expr):
     __slots__ = ("cond", "then", "alt")
     TAG = T_IF
+    EXPRS = ("cond", "then", "alt")
 
     def __init__(self, cond: Expr, then: Expr, alt: Expr):
         self.cond = cond
@@ -94,6 +102,7 @@ class If(Expr):
 class Unary(Expr):
     __slots__ = ("op", "arg")
     TAG = T_UNARY
+    EXPRS = ("arg",)
 
     def __init__(self, op: str, arg: Expr):
         self.op = op
@@ -103,6 +112,7 @@ class Unary(Expr):
 class Binary(Expr):
     __slots__ = ("op", "left", "right")
     TAG = T_BINARY
+    EXPRS = ("left", "right")
 
     def __init__(self, op: str, left: Expr, right: Expr):
         self.op = op
@@ -112,6 +122,7 @@ class Binary(Expr):
 
 class _TripleForm(Expr):
     __slots__ = ("e1", "e2", "e3")
+    EXPRS = ("e1", "e2", "e3")
 
     def __init__(self, e1: Expr, e2: Expr, e3: Expr):
         self.e1 = e1
@@ -152,6 +163,7 @@ class Resume(Expr):
 
     __slots__ = ("arg",)
     TAG = T_RESUME
+    EXPRS = ("arg",)
 
     def __init__(self, arg: Expr):
         self.arg = arg
@@ -164,13 +176,15 @@ class Lambda3(Expr):
 
     __slots__ = ("n", "l", "x", "body", "fvs")
     TAG = T_LAMBDA3
+    EXPRS = ("body",)
+    BINDS = ("n", "l", "x")
 
     def __init__(self, n: str, l: str, x: str, body: Expr):
         self.n = n
         self.l = l
         self.x = x
         self.body = body
-        self.fvs = None  # free-variable cache (convert.converted_free_variables)
+        self.fvs = None  # free_variables(self), once computed
 
 
 class Lambda4(Expr):
@@ -178,6 +192,8 @@ class Lambda4(Expr):
 
     __slots__ = ("k", "n", "l", "x", "body", "n_offset", "fvs")
     TAG = T_LAMBDA4
+    EXPRS = ("body",)
+    BINDS = ("k", "n", "l", "x")
 
     def __init__(self, k: str, n: str, l: str, x: str, body: Expr,
                  n_offset: int = 0):
@@ -186,7 +202,7 @@ class Lambda4(Expr):
         self.l = l
         self.x = x
         self.body = body
-        self.fvs = None  # free-variable cache (convert.converted_free_variables)
+        self.fvs = None  # free_variables(self), once computed
         # Restart closures built by the limit check bind the count
         # variable to (supplied count - n_offset) so that the counts the
         # body derives restart from the supplied count (see convert._wrap).
@@ -196,6 +212,7 @@ class Lambda4(Expr):
 class App3(Expr):
     __slots__ = ("fn", "n", "l", "arg")
     TAG = T_APP3
+    EXPRS = ("fn", "n", "l", "arg")
 
     def __init__(self, fn: Expr, n: Expr, l: Expr, arg: Expr):
         self.fn = fn
@@ -207,6 +224,7 @@ class App3(Expr):
 class App4(Expr):
     __slots__ = ("fn", "k", "n", "l", "arg")
     TAG = T_APP4
+    EXPRS = ("fn", "k", "n", "l", "arg")
 
     def __init__(self, fn: Expr, k: Expr, n: Expr, l: Expr, arg: Expr):
         self.fn = fn
@@ -228,6 +246,7 @@ class LimitCheck(Expr):
 
     __slots__ = ("k_expr", "n_expr", "l_expr", "body", "relam")
     TAG = T_LIMIT
+    EXPRS = ("k_expr", "n_expr", "l_expr", "body")  # relam shares body
 
     def __init__(self, k_expr: Expr, n_expr: Expr, l_expr: Expr, body: Expr,
                  relam: Lambda4):
@@ -245,6 +264,7 @@ class HostOp(Expr):
 
     __slots__ = ("form", "e1", "e2", "e3")
     TAG = T_HOSTOP
+    EXPRS = ("e1", "e2", "e3")
 
     def __init__(self, form: int, e1: Expr, e2: Expr, e3: Expr):
         self.form = form
@@ -255,66 +275,49 @@ class HostOp(Expr):
 
 # -- free variables ---------------------------------------------------------
 
+_EXIT = object()  # stack marker: the node below it has had its parts walked
+
+
 def free_variables(e: Expr) -> tuple:
-    """Free variables of the source-language expression ``e`` in
-    first-occurrence order (converted code has its own:
-    :func:`ckad.convert.converted_free_variables`).
+    """The sorted free variable names of ``e``, of either node family.
 
-    Results for ``Lambda`` nodes are cached on the node.
+    The walk keeps its own stack and memoizes by node identity, since
+    converted code is a DAG (the conversion splices one continuation into
+    both branches of an ``if``).  Every lambda it passes keeps its result
+    in ``fvs``, so it is computed once per lambda, on first use.
     """
-    if e.TAG == T_LAMBDA and e.fvs is not None:
+    if e.BINDS and e.fvs is not None:
         return e.fvs
-    acc: dict = {}
-    _fv(e, frozenset(), acc)
-    result = tuple(acc)
-    if e.TAG == T_LAMBDA:
-        e.fvs = result
-    return result
-
-
-def _fv(e: Expr, bound: frozenset, acc: dict) -> None:
-    tag = e.TAG
-    if tag == T_CONST:
-        return
-    if tag == T_VAR:
-        if e.name not in bound:
-            acc.setdefault(e.name, True)
-        return
-    if tag == T_LAMBDA:
-        if e.fvs is not None:
-            for name in e.fvs:
-                if name not in bound:
-                    acc.setdefault(name, True)
-            return
-        inner: dict = {}
-        _fv(e.body, frozenset((e.param,)), inner)
-        e.fvs = tuple(inner)
-        for name in e.fvs:
-            if name not in bound:
-                acc.setdefault(name, True)
-        return
-    if tag == T_APP:
-        _fv(e.fn, bound, acc)
-        _fv(e.arg, bound, acc)
-        return
-    if tag == T_IF:
-        _fv(e.cond, bound, acc)
-        _fv(e.then, bound, acc)
-        _fv(e.alt, bound, acc)
-        return
-    if tag == T_UNARY:
-        _fv(e.arg, bound, acc)
-        return
-    if tag == T_BINARY:
-        _fv(e.left, bound, acc)
-        _fv(e.right, bound, acc)
-        return
-    if tag in (T_FORWARD_J, T_REVERSE_J, T_CHECKPOINT_J, T_INTERRUPT):
-        _fv(e.e1, bound, acc)
-        _fv(e.e2, bound, acc)
-        _fv(e.e3, bound, acc)
-        return
-    if tag == T_RESUME:
-        _fv(e.arg, bound, acc)
-        return
-    raise TypeError(f"unknown expression node: {e!r}")
+    if e.TAG == T_VAR:
+        return (e.name,)
+    memo = {}  # id of a walked node -> its free variable names
+    stack = [e]
+    pop = stack.pop
+    push = stack.append
+    while stack:
+        node = pop()
+        if node is _EXIT:
+            node = pop()
+            names = set()
+            for field in node.EXPRS:
+                part = getattr(node, field)
+                if part.TAG == T_VAR:
+                    names.add(part.name)
+                elif part.EXPRS:  # not a constant
+                    names |= memo[id(part)]
+            if node.BINDS:
+                for field in node.BINDS:
+                    names.discard(getattr(node, field))
+                node.fvs = tuple(sorted(names))
+            memo[id(node)] = names
+        elif id(node) not in memo:
+            if node.BINDS and node.fvs is not None:
+                memo[id(node)] = set(node.fvs)
+                continue
+            push(node)
+            push(_EXIT)
+            for field in node.EXPRS:
+                part = getattr(node, field)
+                if part.EXPRS:  # variables and constants are read in place
+                    push(part)
+    return e.fvs if e.BINDS else tuple(sorted(memo[id(e)]))

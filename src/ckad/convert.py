@@ -11,6 +11,12 @@ check (the two pipelines must be interchangeable).
 Reserved variables ``%k``, ``%n``, ``%l`` name the current continuation,
 count and limit; operand temporaries are ``%x1``, ``%x2``, ...  The ``%``
 prefix cannot appear in user identifiers, so no capture is possible.
+A site's count is ``%n`` plus a static offset, the number of clauses
+entered since ``%n`` was bound, so its count expression is ``%n`` or
+``%n + k``.
+
+The conversion keeps its own stack (a generator per source clause, driven
+by one loop), so nesting depth does not meet the recursion limit.
 
 Input programs may not contain the machinery forms (interrupt/resume);
 those exist in converted code only inside the wrappers that
@@ -20,16 +26,20 @@ those exist in converted code only inside the wrappers that
 from __future__ import annotations
 
 from .ast import (App3, App4, Binary, Const, HostOp, If, Interrupt, Lambda,
-                  Lambda3, Lambda4, LimitCheck, Resume, T_APP, T_APP3,
-                  T_APP4, T_BINARY, T_CHECKPOINT_J, T_CONST, T_FORWARD_J,
-                  T_HOSTOP, T_IF, T_INTERRUPT, T_LAMBDA, T_LAMBDA3,
-                  T_LAMBDA4, T_LIMIT, T_RESUME, T_REVERSE_J, T_UNARY, T_VAR,
-                  Unary, Var)
+                  Lambda3, Lambda4, LimitCheck, Resume, T_APP, T_BINARY,
+                  T_CHECKPOINT_J, T_CONST, T_FORWARD_J, T_IF, T_INTERRUPT,
+                  T_LAMBDA, T_RESUME, T_REVERSE_J, T_UNARY, T_VAR, Unary, Var)
 from .errors import EvalError
 
 K = "%k"
 N = "%n"
 L = "%l"
+# the converted code's references to them (nodes are never mutated, so
+# one node serves every site)
+_VK = Var(K)
+_VN = Var(N)
+_VL = Var(L)
+
 
 class _Gensym:
     def __init__(self):
@@ -40,171 +50,106 @@ class _Gensym:
         return f"%x{self.counter}"
 
 
-def _inc(n_expr):
-    # count arithmetic stays in machine integers
-    return Binary("+", n_expr, Const(1))
+def _count(offset: int):
+    # the count at a site: %n plus the clauses entered since %n was bound
+    # (count arithmetic stays in machine integers)
+    return _VN if offset == 0 else Binary("+", _VN, Const(offset))
 
 
-def _n_offset(n_expr) -> int:
-    # count expressions are always Var(%n) under zero or more +1 wrappers
-    offset = 0
-    while n_expr.TAG == T_BINARY:
-        offset += 1
-        n_expr = n_expr.left
-    return offset
-
-
-def _wrap(k_expr, n_expr, l_expr, body) -> LimitCheck:
+def _wrap(k_expr, offset: int, body) -> LimitCheck:
     # The restart closure re-enters the pending clause body.  The body's
     # continuation references must keep resolving through the captured
     # environment (by construction they denote exactly the capsule's
     # continuation), so the k parameter is a dummy that shadows nothing.
-    # The count variable is rebound shifted by the static offset of this
-    # check's count expression, so the body's derived counts restart from
-    # the supplied count.
-    relam = Lambda4("%_k", N, L, "%_", body, n_offset=_n_offset(n_expr))
-    return LimitCheck(k_expr, n_expr, l_expr, body, relam)
+    # The count variable is rebound shifted by this check's count offset,
+    # so the body's derived counts restart from the supplied count.
+    relam = Lambda4("%_k", N, L, "%_", body, n_offset=offset)
+    return LimitCheck(k_expr, _count(offset), _VL, body, relam)
 
 
-def convert(e, k_expr, n_expr, l_expr, gensym: _Gensym):
-    """Convert expression ``e`` against continuation/count/limit
-    expressions."""
+def _clause(e, k_expr, offset: int, gensym: _Gensym):
+    """Convert the clause of source node ``e`` against continuation
+    ``k_expr`` at count ``%n + offset``: a generator that yields
+    (subexpression, continuation, offset) for each part it needs converted
+    and is sent the converted part back (see :func:`_convert`)."""
     tag = e.TAG
-    if tag == T_CONST:
-        return _wrap(k_expr, n_expr, l_expr,
-                     App3(k_expr, _inc(n_expr), l_expr, e))
-    if tag == T_VAR:
-        return _wrap(k_expr, n_expr, l_expr,
-                     App3(k_expr, _inc(n_expr), l_expr, e))
     if tag == T_LAMBDA:
-        lam4 = convert_lambda(e, gensym)
-        return _wrap(k_expr, n_expr, l_expr,
-                     App3(k_expr, _inc(n_expr), l_expr, lam4))
-    if tag == T_APP:
+        lam4 = Lambda4(K, N, L, e.param, (yield e.body, _VK, 0))
+        body = App3(k_expr, _count(offset + 1), _VL, lam4)
+    elif tag == T_APP:
         x1 = gensym()
         x2 = gensym()
-        inner = convert(
-            e.arg,
-            Lambda3(N, L, x2, App4(Var(x1), k_expr, Var(N), Var(L), Var(x2))),
-            Var(N), Var(L), gensym)
-        outer = convert(e.fn, Lambda3(N, L, x1, inner),
-                        _inc(n_expr), l_expr, gensym)
-        return _wrap(k_expr, n_expr, l_expr, outer)
-    if tag == T_IF:
+        inner = yield (e.arg, Lambda3(N, L, x2, App4(Var(x1), k_expr, _VN,
+                                                     _VL, Var(x2))), 0)
+        body = yield e.fn, Lambda3(N, L, x1, inner), offset + 1
+    elif tag == T_IF:
         x1 = gensym()
-        branch = If(Var(x1),
-                    convert(e.then, k_expr, Var(N), Var(L), gensym),
-                    convert(e.alt, k_expr, Var(N), Var(L), gensym))
-        outer = convert(e.cond, Lambda3(N, L, x1, branch),
-                        _inc(n_expr), l_expr, gensym)
-        return _wrap(k_expr, n_expr, l_expr, outer)
-    if tag == T_UNARY:
+        branch = If(Var(x1), (yield e.then, k_expr, 0),
+                    (yield e.alt, k_expr, 0))
+        body = yield e.cond, Lambda3(N, L, x1, branch), offset + 1
+    elif tag == T_UNARY:
         x1 = gensym()
         inner = Lambda3(N, L, x1,
-                        App3(k_expr, Var(N), Var(L), Unary(e.op, Var(x1))))
-        outer = convert(e.arg, inner, _inc(n_expr), l_expr, gensym)
-        return _wrap(k_expr, n_expr, l_expr, outer)
-    if tag == T_BINARY:
+                        App3(k_expr, _VN, _VL, Unary(e.op, Var(x1))))
+        body = yield e.arg, inner, offset + 1
+    elif tag == T_BINARY:
         x1 = gensym()
         x2 = gensym()
         deliver = Lambda3(N, L, x2,
-                          App3(k_expr, Var(N), Var(L),
+                          App3(k_expr, _VN, _VL,
                                Binary(e.op, Var(x1), Var(x2))))
-        inner = convert(e.right, deliver, Var(N), Var(L), gensym)
-        outer = convert(e.left, Lambda3(N, L, x1, inner),
-                        _inc(n_expr), l_expr, gensym)
-        return _wrap(k_expr, n_expr, l_expr, outer)
-    if tag in (T_FORWARD_J, T_REVERSE_J, T_CHECKPOINT_J):
+        inner = yield e.right, deliver, 0
+        body = yield e.left, Lambda3(N, L, x1, inner), offset + 1
+    elif tag in (T_FORWARD_J, T_REVERSE_J, T_CHECKPOINT_J):
         x1 = gensym()
         x2 = gensym()
         x3 = gensym()
         deliver = Lambda3(N, L, x3,
-                          App3(k_expr, Var(N), Var(L),
+                          App3(k_expr, _VN, _VL,
                                HostOp(tag, Var(x1), Var(x2), Var(x3))))
-        c3 = convert(e.e3, deliver, Var(N), Var(L), gensym)
-        c2 = convert(e.e2, Lambda3(N, L, x2, c3), Var(N), Var(L), gensym)
-        c1 = convert(e.e1, Lambda3(N, L, x1, c2),
-                     _inc(n_expr), l_expr, gensym)
-        return _wrap(k_expr, n_expr, l_expr, c1)
-    if tag in (T_INTERRUPT, T_RESUME):
+        c3 = yield e.e3, deliver, 0
+        c2 = yield e.e2, Lambda3(N, L, x2, c3), 0
+        body = yield e.e1, Lambda3(N, L, x1, c2), offset + 1
+    elif tag in (T_INTERRUPT, T_RESUME):
         raise EvalError(
             "interrupt/resume cannot appear in programs given to the "
             "CPS conversion")
-    raise EvalError(f"cannot convert node tag {tag}")
-
-
-def _fv(node, memo) -> frozenset:
-    """Free-variable set of a converted node, memoized by object identity.
-
-    Converted expressions are DAGs — the conversion splices one
-    continuation expression into several branches — so a tree walk would
-    revisit shared subtrees exponentially often.
-    """
-    key = id(node)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    tag = node.TAG
-    if tag == T_VAR:
-        r = frozenset((node.name,))
-    elif tag == T_CONST:
-        r = frozenset()
-    elif tag == T_LAMBDA3:
-        if node.fvs is None:
-            node.fvs = tuple(sorted(
-                _fv(node.body, memo) - {node.n, node.l, node.x}))
-        r = frozenset(node.fvs)
-    elif tag == T_LAMBDA4:
-        if node.fvs is None:
-            node.fvs = tuple(sorted(
-                _fv(node.body, memo) - {node.k, node.n, node.l, node.x}))
-        r = frozenset(node.fvs)
-    elif tag == T_APP3:
-        r = (_fv(node.fn, memo) | _fv(node.n, memo) | _fv(node.l, memo)
-             | _fv(node.arg, memo))
-    elif tag == T_APP4:
-        r = (_fv(node.fn, memo) | _fv(node.k, memo) | _fv(node.n, memo)
-             | _fv(node.l, memo) | _fv(node.arg, memo))
-    elif tag == T_LIMIT:  # relam shares body; adds nothing
-        r = (_fv(node.k_expr, memo) | _fv(node.n_expr, memo)
-             | _fv(node.l_expr, memo) | _fv(node.body, memo))
-    elif tag == T_IF:
-        r = (_fv(node.cond, memo) | _fv(node.then, memo)
-             | _fv(node.alt, memo))
-    elif tag == T_UNARY:
-        r = _fv(node.arg, memo)
-    elif tag == T_BINARY:
-        r = _fv(node.left, memo) | _fv(node.right, memo)
-    elif tag in (T_HOSTOP, T_INTERRUPT):
-        r = _fv(node.e1, memo) | _fv(node.e2, memo) | _fv(node.e3, memo)
-    elif tag == T_RESUME:
-        r = _fv(node.arg, memo)
     else:
-        raise EvalError(f"cannot take free variables of node tag {tag}")
-    memo[key] = r
-    return r
+        raise EvalError(f"cannot convert node tag {tag}")
+    return _wrap(k_expr, offset, body)
 
 
-def converted_free_variables(e) -> tuple:
-    """Free variables of a converted expression (cached on lambda nodes).
-
-    Converted user functions can only be free in user variables and
-    top-level names: every ``%k``/``%n``/``%l``/temporary reference is
-    bound by an enclosing converted lambda.
-    """
-    if e.TAG in (T_LAMBDA3, T_LAMBDA4):
-        if e.fvs is None:
-            _fv(e, {})
-        return e.fvs
-    return tuple(sorted(_fv(e, {})))
+def _convert(e, k_expr, gensym: _Gensym):
+    """Convert expression ``e`` against continuation ``k_expr`` at count
+    ``%n``.  The clause converters of the enclosing nodes wait on this
+    loop's own stack, so nesting depth does not meet the recursion
+    limit."""
+    offset = 0
+    waiting = []
+    while True:
+        tag = e.TAG
+        if tag == T_CONST or tag == T_VAR:
+            value = _wrap(k_expr, offset,
+                          App3(k_expr, _count(offset + 1), _VL, e))
+        else:
+            waiting.append(_clause(e, k_expr, offset, gensym))
+            value = None
+        while waiting:
+            try:
+                e, k_expr, offset = waiting[-1].send(value)
+                break
+            except StopIteration as done:
+                waiting.pop()
+                value = done.value
+        else:  # no clause waits: value is the whole expression's
+            return value
 
 
 def convert_lambda(lam: Lambda, gensym: _Gensym | None = None) -> Lambda4:
     """Convert a source lambda into a four-argument lambda."""
     if gensym is None:
         gensym = _Gensym()
-    body = convert(lam.body, Var(K), Var(N), Var(L), gensym)
-    return Lambda4(K, N, L, lam.param, body)
+    return Lambda4(K, N, L, lam.param, _convert(lam.body, _VK, gensym))
 
 
 def convert_top(e, gensym: _Gensym | None = None):
@@ -212,7 +157,7 @@ def convert_top(e, gensym: _Gensym | None = None):
     bound in the evaluation environment (continuation, 0, limit)."""
     if gensym is None:
         gensym = _Gensym()
-    return convert(e, Var(K), Var(N), Var(L), gensym)
+    return _convert(e, _VK, gensym)
 
 
 # prebuilt wrapper lambdas of pipeline B's make_I / make_R;

@@ -14,7 +14,7 @@ evaluation; this matches the step accounting of the CPS evaluator
 from __future__ import annotations
 
 from .ast import (T_APP, T_BINARY, T_CHECKPOINT_J, T_CONST, T_FORWARD_J,
-                  T_IF, T_LAMBDA, T_REVERSE_J, T_UNARY, T_VAR, free_variables)
+                  T_IF, T_LAMBDA, T_REVERSE_J, T_UNARY, T_VAR)
 from .ad import apply_binary, apply_unary, forward_j, reverse_j
 from .errors import EvalError, NotAFunctionError
 from .parser import Program
@@ -143,7 +143,6 @@ def install_program(program: Program) -> Env:
     genv = Env({}, None)
     for name, expr in program.defines:
         if expr.TAG == T_LAMBDA:
-            free_variables(expr)  # warm the cache
             genv.frame[name] = Closure(expr, genv)
         else:
             genv.frame[name] = eval_direct(expr, genv)

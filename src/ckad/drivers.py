@@ -138,23 +138,25 @@ def _capped(b) -> int:
 def _r2(L: int, d: int, t: int):
     """Minimal recompute (in segments) to reverse ``L`` segments with both
     budgets enforced, mirroring the drivers' recursion: the right part of
-    a split costs a snapshot level, the left part a pass."""
+    a split costs a snapshot level, the left part a pass.  Returns the cost
+    and the first number of leading segments to advance past that attains
+    it (``None`` when no split is feasible)."""
     if L <= 1:
-        return 0
+        return 0, None
     if d == 0 or t == 0:
-        return math.inf
-    best = math.inf
+        return math.inf, None
+    best, best_m = math.inf, None
     for m in range(1, L):
-        right = _r2(L - m, d - 1, t)
+        right = _r2(L - m, d - 1, t)[0]
         if right is math.inf:
             continue
-        left = _r2(m, d, t - 1)
+        left = _r2(m, d, t - 1)[0]
         if left is math.inf:
             continue
         c = m + right + left
         if c < best:
-            best = c
-    return best
+            best, best_m = c, m
+    return best, best_m
 
 
 def _binomial_lambda(L: int, delta, tau) -> int:
@@ -163,19 +165,9 @@ def _binomial_lambda(L: int, delta, tau) -> int:
     d = _capped(delta)
     t = _capped(tau)
     if L <= _DP_LIMIT:
-        best_m, best_c = None, math.inf
-        for m in range(1, L):
-            right = _r2(L - m, d - 1, t)
-            if right is math.inf:
-                continue
-            left = _r2(m, d, t - 1)
-            if left is math.inf:
-                continue
-            c = m + right + left
-            if c < best_c:
-                best_c, best_m = c, m
-        if best_m is not None:
-            return best_m
+        m = _r2(L, d, t)[1]
+        if m is not None:
+            return m
         # infeasible budgets: fall through to the clamped closed form
     m = L - eta(d - 1, t)
     lo, hi = 1, min(eta(d, t - 1), L - 1)
@@ -217,7 +209,7 @@ def schedule_oracle(L: int, d: int) -> float:
     r(1, d) = 0;  r(L, 0) = inf for L > 1;
     r(L, d) = min over 1 <= m < L of  m + r(L - m, d - 1) + r(m, d).
     """
-    return _r2(L, d, INF_BUDGET)
+    return _r2(L, d, INF_BUDGET)[0]
 
 
 def _dec(b):

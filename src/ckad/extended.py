@@ -18,10 +18,10 @@ from __future__ import annotations
 
 from .ast import (T_APP3, T_APP4, T_BINARY, T_CONST, T_HOSTOP, T_IF,
                   T_INTERRUPT, T_LAMBDA3, T_LAMBDA4, T_LIMIT, T_RESUME,
-                  T_UNARY, T_VAR, Lambda3, Var)
+                  T_UNARY, T_VAR, Lambda3, Var, free_variables)
 from .ad import apply_binary, apply_unary
 from .convert import (I_LAMBDA4, K, L, N, R_LAMBDA4, _Gensym, convert_lambda,
-                      convert_top, converted_free_variables)
+                      convert_top)
 from .cps import Machine, host_ad
 from .errors import EvalError, NotAFunctionError
 from .parser import Program
@@ -91,7 +91,10 @@ def _canonical(root):
                 continue
             lam = v.lam
             if v.env.parent is not None:
-                env = _restrict(v.env, converted_free_variables(lam))
+                fvs = lam.fvs
+                if fvs is None:
+                    fvs = free_variables(lam)
+                env = _restrict(v.env, fvs)
                 memo[id(v)] = Closure(lam, env)
                 frames.append(env.frame)
                 stack.extend(env.frame.values())
@@ -219,7 +222,10 @@ class ExtendedMachine(Machine):
             # their free variables (keeping the root frame as parent for
             # late-bound top-level names) so transient continuation
             # frames are not retained.
-            return Closure(e, _restrict(env, converted_free_variables(e)))
+            fvs = e.fvs
+            if fvs is None:
+                fvs = free_variables(e)
+            return Closure(e, _restrict(env, fvs))
         if tag == T_BINARY:
             a = self._operand(env, e.left)
             b = self._operand(env, e.right)

@@ -96,9 +96,9 @@ class _SExpr:
         self.col = col
 
 
-#: Deepest list nesting the parser accepts.  The reader and the desugarer
-#: keep their own stacks; later passes over the tree (free variables, CPS
-#: conversion) recurse once per level.
+#: Deepest list nesting the parser accepts.  The reader, the desugarer and
+#: every later pass over the tree (free variables, CPS conversion) keep
+#: their own stacks, so this bounds the input, not the recursion.
 MAX_NESTING = 1000
 
 
@@ -149,12 +149,6 @@ def _atom_to_expr(tok: _Token) -> Expr:
     return Var(text)
 
 
-def _pos(form):
-    if isinstance(form, _Token):
-        return form.line, form.col
-    return form.line, form.col
-
-
 def _desugar(form):
     """Desugar list ``form``: a generator that yields each subform it needs
     as an expression and is sent that expression back (see :func:`_expr`)."""
@@ -191,8 +185,7 @@ def _desugar(form):
             for b in items[1].items:
                 if (not isinstance(b, _SExpr) or len(b.items) != 2
                         or not isinstance(b.items[0], _Token)):
-                    line, col = _pos(b)
-                    raise ParseError("malformed binding", line, col)
+                    raise ParseError("malformed binding", b.line, b.col)
                 name = b.items[0].text
                 if name in RESERVED or name.startswith("%"):
                     raise ParseError(f"bad binding name: {name}",
@@ -302,9 +295,8 @@ def parse_program(src: str) -> Program:
                 raise ParseError("malformed define", form.line, form.col)
         else:
             if program.body is not None:
-                line, col = _pos(form)
                 raise ParseError("program may have at most one body "
-                                 "expression", line, col)
+                                 "expression", form.line, form.col)
             program.body = _expr(form)
     return program
 

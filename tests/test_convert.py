@@ -1,10 +1,11 @@
-"""The count/limit-threading CPS conversion: structural invariants and
-free-variable computation."""
+"""The count/limit-threading CPS conversion: structural invariants, and
+free-variable computation on source and converted code."""
 
-from ckad.ast import (T_APP3, T_APP4, T_CONST, T_IF, T_LAMBDA3, T_LAMBDA4,
-                      T_LIMIT, T_UNARY, T_BINARY, T_VAR, T_HOSTOP)
-from ckad.convert import (_Gensym, convert_lambda, convert_top,
-                          converted_free_variables)
+from ckad.ast import (T_APP, T_APP3, T_APP4, T_CHECKPOINT_J, T_CONST,
+                      T_FORWARD_J, T_IF, T_LAMBDA, T_LAMBDA3, T_LAMBDA4,
+                      T_LIMIT, T_REVERSE_J, T_UNARY, T_BINARY, T_VAR,
+                      T_HOSTOP, free_variables)
+from ckad.convert import N, _Gensym, convert_lambda, convert_top
 from ckad.parser import parse_expr
 
 
@@ -88,33 +89,46 @@ def test_restart_lambda_shares_the_pending_body():
 
 
 def test_n_offset_matches_static_increment_depth():
-    converted = convert_top(parse_expr("(f 1.0)"), _Gensym())
-    for node in every_node(converted):
-        if node.TAG == T_LIMIT:
-            # count expression is Var(%n) under n_offset many +1 wrappers
-            depth = 0
-            n_expr = node.n_expr
-            while n_expr.TAG == T_BINARY:
-                depth += 1
-                n_expr = n_expr.left
-            assert n_expr.TAG in (T_VAR, T_CONST)
-            assert node.relam.n_offset == depth
+    offsets = set()
+    for src in ("(f 1.0)", "(+ (+ (+ x 1.0) 1.0) 1.0)"):
+        converted = convert_top(parse_expr(src), _Gensym())
+        for node in every_node(converted):
+            if node.TAG == T_LIMIT:
+                # the count expression is %n or %n + k, k the n_offset
+                n_expr = node.n_expr
+                if n_expr.TAG == T_VAR:
+                    k = 0
+                else:
+                    assert n_expr.TAG == T_BINARY and n_expr.op == "+"
+                    assert n_expr.right.TAG == T_CONST
+                    k = n_expr.right.value
+                    assert type(k) is int and k >= 1
+                    n_expr = n_expr.left
+                assert n_expr.TAG == T_VAR and n_expr.name == N
+                assert node.relam.n_offset == k
+                offsets.add(k)
+    assert offsets == {0, 1, 2, 3}
 
 
 def reference_free_variables(node, bound):
-    """Slow reference free-variable computation (no memoization)."""
+    """Slow reference free-variable computation (no memoization), for
+    source and converted code."""
     tag = node.TAG
     if tag == T_VAR:
         return set() if node.name in bound else {node.name}
     if tag == T_CONST:
         return set()
+    if tag == T_LAMBDA:
+        return reference_free_variables(node.body, bound | {node.param})
     if tag == T_LAMBDA3:
         return reference_free_variables(
             node.body, bound | {node.n, node.l, node.x})
     if tag == T_LAMBDA4:
         return reference_free_variables(
             node.body, bound | {node.k, node.n, node.l, node.x})
-    if tag == T_APP3:
+    if tag == T_APP:
+        kids = (node.fn, node.arg)
+    elif tag == T_APP3:
         kids = (node.fn, node.n, node.l, node.arg)
     elif tag == T_APP4:
         kids = (node.fn, node.k, node.n, node.l, node.arg)
@@ -126,7 +140,7 @@ def reference_free_variables(node, bound):
         kids = (node.arg,)
     elif tag == T_BINARY:
         kids = (node.left, node.right)
-    elif tag == T_HOSTOP:
+    elif tag in (T_HOSTOP, T_FORWARD_J, T_REVERSE_J, T_CHECKPOINT_J):
         kids = (node.e1, node.e2, node.e3)
     else:
         raise AssertionError(tag)
@@ -137,23 +151,25 @@ def reference_free_variables(node, bound):
 
 
 def test_free_variables_match_reference():
-    for src in SOURCES + ["(lambda (x) (+ x (* y (g x))))"]:
+    for src in SOURCES + ["(lambda (x) (+ x (* y (g x))))",
+                          "(lambda (f) (j* (lambda (y) (f x y)) z 1.0))"]:
         e = parse_expr(src)
-        if e.TAG == 2:
-            lam4 = convert_lambda(e, _Gensym())
-            got = set(converted_free_variables(lam4))
-            want = reference_free_variables(lam4, set())
+        got = free_variables(e)
+        assert got == tuple(sorted(reference_free_variables(e, set()))), src
+        if e.TAG == T_LAMBDA:
+            assert e.fvs == got
+            converted = convert_lambda(e, _Gensym())
         else:
-            converted = convert_top(e, _Gensym())
-            got = set(converted_free_variables(converted))
             # %k/%n/%l are genuinely free in a top-level conversion
-            want = reference_free_variables(converted, set())
-        assert got == want, src
+            converted = convert_top(e, _Gensym())
+        got = free_variables(converted)
+        assert got == tuple(sorted(reference_free_variables(converted,
+                                                            set()))), src
 
 
 def test_converted_lambda_free_vars_exclude_machinery_names():
     lam4 = convert_lambda(parse_expr("(lambda (x) (+ x (g y)))"), _Gensym())
-    fvs = converted_free_variables(lam4)
+    fvs = free_variables(lam4)
     assert set(fvs) == {"g", "y"}
     assert fvs == tuple(sorted(fvs))
 
@@ -166,4 +182,4 @@ def test_free_variable_walk_is_linear_on_dag_shaped_code():
     for _ in range(60):
         src = f"(if (< x 0.5) {src} 0.0)"
     lam4 = convert_lambda(parse_expr(f"(lambda (x) {src})"), _Gensym())
-    assert converted_free_variables(lam4) == ()
+    assert free_variables(lam4) == ()

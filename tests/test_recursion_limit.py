@@ -3,7 +3,8 @@
 The test suite itself does not raise the limit, but a child process makes
 sure no earlier import or test did: it asserts the default of 1000 and
 then runs values whose structure is deeper than that through the
-checkpointing drivers and through reverse mode.
+checkpointing drivers and through reverse mode, and programs nested
+nearly as deep as the parser allows through every pipeline.
 """
 
 import os
@@ -18,6 +19,7 @@ from pathlib import Path
 
 import ckad
 from ckad.cps import CpsMachine
+from ckad.direct import run_program_direct
 from ckad.drivers import RunConfig
 from ckad.extended import ExtendedMachine
 from ckad.parser import parse_program
@@ -59,6 +61,23 @@ program = parse_program('''
 for machine in (CpsMachine, ExtendedMachine):
     result, _n = machine(RunConfig()).run_program(program)
     assert result.cdr == 1500.0 * 1501.0 / 2.0, result.cdr
+
+# programs nested 995 levels deep: the free variables of a deep lambda
+# body, and right- and left-nested sums (the latter gives the converted
+# code's count expressions their largest offsets)
+DEPTH = 995
+right = left = "1.0"
+body = "x"
+for _ in range(DEPTH):
+    right = f"(+ 1.0 {right})"
+    left = f"(+ {left} 1.0)"
+    body = f"(+ x {body})"
+for source in (f"((lambda (x) {body}) 1.0)", right, left):
+    program = parse_program(source)
+    assert run_program_direct(program) == DEPTH + 1.0
+    for machine in (CpsMachine, ExtendedMachine):
+        value, _n = machine(RunConfig()).run_program(program)
+        assert value == DEPTH + 1.0, machine.__name__
 print("ok")
 """
 
