@@ -548,13 +548,17 @@ def forward_j(f, x, x_tangent, applier):
 # reverse mode
 # ---------------------------------------------------------------------------
 
-def reverse_j(f, x, y_cotangent, applier):
+def reverse_j(f, x, y_cotangent, applier, need_y=True):
     """Reverse-mode derivative: returns (y, x_cotangent).
 
     ``applier`` runs ``f`` on the taped input and may return any value,
     including a capsule (an interrupted computation): cotangents then flow
     into and out of the capsule's numeric leaves.  A leaf that occurs at
     several positions of a mirrored cotangent receives their sum.
+
+    With ``need_y`` false the caller drops y: the output is indexed for
+    seeding but not stripped of its tape cells, and y is returned as
+    ``None``.  The cotangent is the same either way.
     """
     level = _enter_level()
     registry: list = []
@@ -579,10 +583,12 @@ def reverse_j(f, x, y_cotangent, applier):
             for parent, partial in cell.parents:
                 parent.cot = lift_binary(
                     "+", parent.cot, lift_binary("*", partial, cot))
-        y = map_structure(
-            out, lambda leaf: leaf.primal
-            if type(leaf) is TapeCell and leaf.level == level else leaf,
-            out_index)
+        y = None
+        if need_y:
+            y = map_structure(
+                out, lambda leaf: leaf.primal
+                if type(leaf) is TapeCell and leaf.level == level else leaf,
+                out_index)
         cots = [cell.cot for cell in x_cells]
         if x_index.ground:
             it = iter(cots)

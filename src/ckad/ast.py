@@ -16,7 +16,9 @@ Two node families share this module:
 Every node carries an integer ``TAG`` class attribute used for fast
 dispatch in the evaluators, and two field lists: ``EXPRS`` names the
 fields that hold sub-expressions and ``BINDS`` the parameter fields of a
-lambda.  :func:`free_variables` walks either family through them.
+lambda.  :func:`free_variables` walks either family through them and
+caches each node's result in its ``fvs`` slot (set from the start on
+variables and constants, computed on first use for the rest).
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ T_HOSTOP = 17
 
 
 class Expr:
-    __slots__ = ()
+    __slots__ = ("fvs",)
     EXPRS = ()
     BINDS = ()
 
@@ -56,6 +58,7 @@ class Const(Expr):
 
     def __init__(self, value):
         self.value = value
+        self.fvs = ()
 
 
 class Var(Expr):
@@ -64,10 +67,11 @@ class Var(Expr):
 
     def __init__(self, name: str):
         self.name = name
+        self.fvs = (name,)
 
 
 class Lambda(Expr):
-    __slots__ = ("param", "body", "fvs")
+    __slots__ = ("param", "body")
     TAG = T_LAMBDA
     EXPRS = ("body",)
     BINDS = ("param",)
@@ -75,7 +79,7 @@ class Lambda(Expr):
     def __init__(self, param: str, body: Expr):
         self.param = param
         self.body = body
-        self.fvs = None  # free_variables(self), once computed
+        self.fvs = None
 
 
 class App(Expr):
@@ -86,6 +90,7 @@ class App(Expr):
     def __init__(self, fn: Expr, arg: Expr):
         self.fn = fn
         self.arg = arg
+        self.fvs = None
 
 
 class If(Expr):
@@ -97,6 +102,7 @@ class If(Expr):
         self.cond = cond
         self.then = then
         self.alt = alt
+        self.fvs = None
 
 
 class Unary(Expr):
@@ -107,6 +113,7 @@ class Unary(Expr):
     def __init__(self, op: str, arg: Expr):
         self.op = op
         self.arg = arg
+        self.fvs = None
 
 
 class Binary(Expr):
@@ -118,6 +125,7 @@ class Binary(Expr):
         self.op = op
         self.left = left
         self.right = right
+        self.fvs = None
 
 
 class _TripleForm(Expr):
@@ -128,6 +136,7 @@ class _TripleForm(Expr):
         self.e1 = e1
         self.e2 = e2
         self.e3 = e3
+        self.fvs = None
 
 
 class ForwardJ(_TripleForm):
@@ -167,6 +176,7 @@ class Resume(Expr):
 
     def __init__(self, arg: Expr):
         self.arg = arg
+        self.fvs = None
 
 
 # -- converted form --------------------------------------------------------
@@ -174,7 +184,7 @@ class Resume(Expr):
 class Lambda3(Expr):
     """A continuation lambda binding (count, limit, value)."""
 
-    __slots__ = ("n", "l", "x", "body", "fvs")
+    __slots__ = ("n", "l", "x", "body")
     TAG = T_LAMBDA3
     EXPRS = ("body",)
     BINDS = ("n", "l", "x")
@@ -184,13 +194,13 @@ class Lambda3(Expr):
         self.l = l
         self.x = x
         self.body = body
-        self.fvs = None  # free_variables(self), once computed
+        self.fvs = None
 
 
 class Lambda4(Expr):
     """A converted function lambda binding (continuation, count, limit, value)."""
 
-    __slots__ = ("k", "n", "l", "x", "body", "n_offset", "fvs")
+    __slots__ = ("k", "n", "l", "x", "body", "n_offset")
     TAG = T_LAMBDA4
     EXPRS = ("body",)
     BINDS = ("k", "n", "l", "x")
@@ -202,7 +212,7 @@ class Lambda4(Expr):
         self.l = l
         self.x = x
         self.body = body
-        self.fvs = None  # free_variables(self), once computed
+        self.fvs = None
         # Restart closures built by the limit check bind the count
         # variable to (supplied count - n_offset) so that the counts the
         # body derives restart from the supplied count (see convert._wrap).
@@ -219,6 +229,7 @@ class App3(Expr):
         self.n = n
         self.l = l
         self.arg = arg
+        self.fvs = None
 
 
 class App4(Expr):
@@ -232,6 +243,7 @@ class App4(Expr):
         self.n = n
         self.l = l
         self.arg = arg
+        self.fvs = None
 
 
 class LimitCheck(Expr):
@@ -255,6 +267,7 @@ class LimitCheck(Expr):
         self.l_expr = l_expr
         self.body = body
         self.relam = relam
+        self.fvs = None
 
 
 class HostOp(Expr):
@@ -271,6 +284,7 @@ class HostOp(Expr):
         self.e1 = e1
         self.e2 = e2
         self.e3 = e3
+        self.fvs = None
 
 
 # -- free variables ---------------------------------------------------------
@@ -281,16 +295,14 @@ _EXIT = object()  # stack marker: the node below it has had its parts walked
 def free_variables(e: Expr) -> tuple:
     """The sorted free variable names of ``e``, of either node family.
 
-    The walk keeps its own stack and memoizes by node identity, since
+    The result is cached in ``e.fvs``, and so is that of every node the
+    walk passes, so each node is computed once, on first use.  The walk
+    keeps its own stack and skips any node that already has its result;
     converted code is a DAG (the conversion splices one continuation into
-    both branches of an ``if``).  Every lambda it passes keeps its result
-    in ``fvs``, so it is computed once per lambda, on first use.
+    both branches of an ``if``), and that keeps its walk linear.
     """
-    if e.BINDS and e.fvs is not None:
+    if e.fvs is not None:
         return e.fvs
-    if e.TAG == T_VAR:
-        return (e.name,)
-    memo = {}  # id of a walked node -> its free variable names
     stack = [e]
     pop = stack.pop
     push = stack.append
@@ -300,24 +312,15 @@ def free_variables(e: Expr) -> tuple:
             node = pop()
             names = set()
             for field in node.EXPRS:
-                part = getattr(node, field)
-                if part.TAG == T_VAR:
-                    names.add(part.name)
-                elif part.EXPRS:  # not a constant
-                    names |= memo[id(part)]
-            if node.BINDS:
-                for field in node.BINDS:
-                    names.discard(getattr(node, field))
-                node.fvs = tuple(sorted(names))
-            memo[id(node)] = names
-        elif id(node) not in memo:
-            if node.BINDS and node.fvs is not None:
-                memo[id(node)] = set(node.fvs)
-                continue
+                names.update(getattr(node, field).fvs)
+            for field in node.BINDS:
+                names.discard(getattr(node, field))
+            node.fvs = tuple(sorted(names))
+        elif node.fvs is None:
             push(node)
             push(_EXIT)
             for field in node.EXPRS:
                 part = getattr(node, field)
-                if part.EXPRS:  # variables and constants are read in place
+                if part.fvs is None:
                     push(part)
-    return e.fvs if e.BINDS else tuple(sorted(memo[id(e)]))
+    return e.fvs

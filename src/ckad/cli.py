@@ -30,24 +30,38 @@ from .values import EMPTY, Pair
 
 
 def format_value(v) -> str:
-    """Render an evaluation result for the terminal."""
-    if isinstance(v, Pair):
-        items = []
-        while isinstance(v, Pair):
-            items.append(format_value(v.car))
-            v = v.cdr
-        if v is EMPTY:
-            return "(" + " ".join(items) + ")"
-        return "(" + " ".join(items) + " . " + format_value(v) + ")"
-    if v is EMPTY:
-        return "()"
-    if v is True:
-        return "#t"
-    if v is False:
-        return "#f"
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+    """Render an evaluation result for the terminal.
+
+    The walk keeps its own stack, as ``Pair.__repr__`` does, so a value
+    nested deeper than the recursion limit prints too.  No language value
+    is a Python string, so the stack holds the literal text as strings."""
+    parts = []
+    stack = [v]
+    while stack:
+        v = stack.pop()
+        if type(v) is str:
+            parts.append(v)
+        elif isinstance(v, Pair):
+            items = []
+            while isinstance(v, Pair):
+                items += (" ", v.car)
+                v = v.cdr
+            items[0] = "("
+            if v is not EMPTY:
+                items += (" . ", v)
+            items.append(")")
+            stack += reversed(items)
+        elif v is EMPTY:
+            parts.append("()")
+        elif v is True:
+            parts.append("#t")
+        elif v is False:
+            parts.append("#f")
+        elif isinstance(v, float):
+            parts.append(repr(v))
+        else:
+            parts.append(str(v))
+    return "".join(parts)
 
 
 def _append_csv(path: str, metrics: RunMetrics) -> None:

@@ -9,6 +9,19 @@ host.  Otherwise each expression clause increments the count exactly
 once.  Continuations are defunctionalized records so that the reverse-AD
 structural walks can traverse (and tape through) a capsule.
 
+The capture rule: a capsule holds only what the rest of the run reads.
+Each record names in ``PENDING`` the fields holding the expressions it
+will still evaluate (``KArg.e``, ``KIf.then``/``alt``, ``KBin1.right``,
+``KAd1.e2``/``e3``, ``KAd2.e3``).  At capture the chain is copied, and
+each copy with pending expressions closes over exactly their free
+variables, in one flat frame, by the rule closures use
+(:func:`ckad.values.flat_env`); the restart closure closes over those of
+the expression the run stopped before.  While running, records keep the
+whole environment they were made in.  So a capsule's structure depends
+only on the execution point and the live values, not on how the run got
+there (straight, resumed or wrapped), and its numeric leaves are those of
+pipeline B's capsule at the same point.
+
 Step accounting (checked by the tests):
 
 * every expression clause costs exactly one step;
@@ -30,17 +43,21 @@ from __future__ import annotations
 
 from .ast import (Interrupt, Lambda, Resume, T_APP, T_BINARY,
                   T_CHECKPOINT_J, T_CONST, T_FORWARD_J, T_IF, T_INTERRUPT,
-                  T_LAMBDA, T_REVERSE_J, T_RESUME, T_UNARY, T_VAR, Var)
+                  T_LAMBDA, T_REVERSE_J, T_RESUME, T_UNARY, T_VAR, Var,
+                  free_variables)
 from .ad import apply_binary, apply_unary, forward_j, reverse_j
 from .errors import EvalError, NotAFunctionError, RanToCompletionError
 from .parser import Program
 from .values import (BOTTOM, INFINITY, Capsule, Closure, Env, Pair,
-                     make_closure)
+                     flat_env, make_closure)
 
 
 # -- defunctionalized continuations -----------------------------------------
 # ``CHILDREN`` names the fields that hold runtime values, in the order the
-# AD leaf index (:func:`ckad.ad.collect_leaves`) walks them.
+# AD leaf index (:func:`ckad.ad.collect_leaves`) walks them.  ``PENDING``
+# names the fields that hold the expressions the record will still
+# evaluate in its ``env``; a captured copy's ``env`` binds exactly their
+# free variables (see :func:`_capture`).
 
 class KHost:
     """Bottom continuation: delivers the value and count to the host."""
@@ -48,6 +65,7 @@ class KHost:
     __slots__ = ()
     TAG = 0
     CHILDREN = ()
+    PENDING = ()
 
 
 K_HOST = KHost()
@@ -59,6 +77,7 @@ class KArg:
     __slots__ = ("e", "env", "k")
     TAG = 1
     CHILDREN = ("env", "k")
+    PENDING = ("e",)
 
     def __init__(self, e, env, k):
         self.e = e
@@ -72,6 +91,7 @@ class KApply:
     __slots__ = ("f", "k")
     TAG = 2
     CHILDREN = ("f", "k")
+    PENDING = ()
 
     def __init__(self, f, k):
         self.f = f
@@ -82,6 +102,7 @@ class KIf:
     __slots__ = ("then", "alt", "env", "k")
     TAG = 3
     CHILDREN = ("env", "k")
+    PENDING = ("then", "alt")
 
     def __init__(self, then, alt, env, k):
         self.then = then
@@ -94,6 +115,7 @@ class KUnary:
     __slots__ = ("op", "k")
     TAG = 4
     CHILDREN = ("k",)
+    PENDING = ()
 
     def __init__(self, op, k):
         self.op = op
@@ -104,6 +126,7 @@ class KBin1:
     __slots__ = ("op", "right", "env", "k")
     TAG = 5
     CHILDREN = ("env", "k")
+    PENDING = ("right",)
 
     def __init__(self, op, right, env, k):
         self.op = op
@@ -116,6 +139,7 @@ class KBin2:
     __slots__ = ("op", "left", "k")
     TAG = 6
     CHILDREN = ("left", "k")
+    PENDING = ()
 
     def __init__(self, op, left, k):
         self.op = op
@@ -127,6 +151,7 @@ class KAd1:
     __slots__ = ("form", "e2", "e3", "env", "k")
     TAG = 7
     CHILDREN = ("env", "k")
+    PENDING = ("e2", "e3")
 
     def __init__(self, form, e2, e3, env, k):
         self.form = form
@@ -140,6 +165,7 @@ class KAd2:
     __slots__ = ("form", "v1", "e3", "env", "k")
     TAG = 8
     CHILDREN = ("v1", "env", "k")
+    PENDING = ("e3",)
 
     def __init__(self, form, v1, e3, env, k):
         self.form = form
@@ -153,6 +179,7 @@ class KAd3:
     __slots__ = ("form", "v1", "v2", "k")
     TAG = 9
     CHILDREN = ("v1", "v2", "k")
+    PENDING = ()
 
     def __init__(self, form, v1, v2, k):
         self.form = form
@@ -165,6 +192,7 @@ class KResume:
     __slots__ = ("k",)
     TAG = 10
     CHILDREN = ("k",)
+    PENDING = ()
 
     def __init__(self, k):
         self.k = k
@@ -173,6 +201,47 @@ class KResume:
 # The restart closure of a capsule wraps the pending expression in a
 # one-parameter lambda whose (ignored) parameter receives BOTTOM on resume.
 _IGNORED = "%_"
+
+
+def _capture(k, e, env) -> Capsule:
+    """The capsule of a run stopped before it evaluates ``e`` in ``env``
+    under ``k``, by the capture rule of this module's docstring.
+
+    The chain is read into a list (its own stack) and rebuilt from the
+    bottom up.  A record already in captured form, over an unchanged rest
+    of the chain, is kept; any other is copied, so records an earlier
+    capsule shares are never changed."""
+    records = []
+    while k is not K_HOST:
+        records.append(k)
+        k = k.k
+    for rec in reversed(records):
+        t = type(rec)
+        pending = t.PENDING
+        if pending:
+            names = ()
+            for field in pending:
+                names += free_variables(getattr(rec, field))
+            if len(pending) > 1:
+                names = tuple(dict.fromkeys(names))
+            renv = rec.env
+            if renv.parent is None and tuple(renv.frame) == names:
+                if rec.k is k:
+                    k = rec
+                    continue
+            else:
+                renv = flat_env(names, renv)
+        elif rec.k is k:
+            k = rec
+            continue
+        copy = t.__new__(t)
+        for name in t.__slots__:
+            setattr(copy, name, getattr(rec, name))
+        copy.k = k
+        if pending:
+            copy.env = renv
+        k = copy
+    return Capsule(k, make_closure(Lambda(_IGNORED, e), env))
 
 
 def host_ad(machine, form, f, x, sensitivity):
@@ -248,9 +317,11 @@ class Machine:
         """The closure that resumes a capsule passed to it."""
         return self.R_CLOSURE
 
-    def reverse_base(self, f, x, y_cotangent):
-        """Plain (taping) reverse mode through this machine."""
-        return reverse_j(f, x, y_cotangent, self.apply)
+    def reverse_base(self, f, x, y_cotangent, need_y=True):
+        """Plain (taping) reverse mode through this machine: (y, x
+        cotangent).  A caller that drops y passes ``need_y=False`` and gets
+        ``None`` for it, which spares the output's strip."""
+        return reverse_j(f, x, y_cotangent, self.apply, need_y)
 
 
 class CpsMachine(Machine):
@@ -273,7 +344,7 @@ class CpsMachine(Machine):
         while True:
             # ---- evaluate e in env: the limit check comes first
             if n == l:
-                return Capsule(k, Closure(Lambda(_IGNORED, e), env))
+                return _capture(k, e, env)
             tag = e.TAG
             if tag == T_VAR:
                 val = env.lookup(e.name)

@@ -11,6 +11,9 @@ to the split point, reverses the right part first (recursively), and then
 reverses the left part against the cotangent coming out of the right part.
 Leaves (intervals no longer than ``alpha`` steps, or intervals whose
 snapshot/pass budgets are exhausted) are reversed by ordinary taping.
+Only the rightmost leaf's output is the result: every other leaf calls
+``reverse_base`` with ``need_y=False``, so its output capsule is used
+for seeding but never stripped into a copy nobody reads.
 
 Split budgets ``delta`` (remaining snapshot levels) and ``tau`` (remaining
 re-advancement passes) follow the classic binomial checkpointing
@@ -240,26 +243,27 @@ def checkpoint_reverse_binary(P, f, x, y_cotangent,
     if length is None:
         length = P.primops(f, x)
     result = _binary(P, f, x, y_cotangent, alpha, delta, tau, split,
-                     0, length)
+                     0, length, True)
     METER.done()
     return result
 
 
-def _binary(P, f, x, ybar, alpha, delta, tau, split, base, phi):
+def _binary(P, f, x, ybar, alpha, delta, tau, split, base, phi, need_y):
     m = METER
     length = phi - base
     if length <= alpha or delta == 0 or tau == 0:
         m.leaf(base, phi)
-        return P.reverse_base(f, x, ybar)
+        return P.reverse_base(f, x, ybar, need_y)
     kappa = mid(delta, tau, base, phi, split, alpha)
     sid = m.snapshot(base)
     z = P.interrupt(f, x, kappa - base)
     m.advance(base, kappa)
     y, zbar = _binary(P, P.make_R(), z, ybar, alpha, _dec(delta), tau,
-                      split, kappa, phi)
+                      split, kappa, phi, need_y)
     m.release(sid, base)
+    # the left part's output is the capsule z: only its cotangent is used
     _z, xbar = _binary(P, P.make_I(f, kappa - base), x, zbar, alpha,
-                       delta, _dec(tau), split, base, kappa)
+                       delta, _dec(tau), split, base, kappa, False)
     return y, xbar
 
 
@@ -294,9 +298,9 @@ def _treeverse(P, f, x, ybar, alpha, delta, tau, split, beta, sigma, phi,
 def _tv_leaf(P, f, x, ybar, sigma, phi, end):
     METER.leaf(sigma, phi)
     if phi == end:
-        # the rightmost leaf runs to natural completion
+        # the rightmost leaf runs to natural completion; its y is the result
         return P.reverse_base(f, x, ybar)
-    return P.reverse_base(P.make_I(f, phi - sigma), x, ybar)
+    return P.reverse_base(P.make_I(f, phi - sigma), x, ybar, False)
 
 
 def _tv_first(P, f, x, ybar, alpha, delta, tau, split, beta, sigma, phi,

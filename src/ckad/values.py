@@ -126,17 +126,30 @@ class Closure:
         return f"<closure {self.lam!r}>"
 
 
+def flat_env(names, env: Env) -> Env:
+    """One parentless frame binding each of ``names`` (in their order) to
+    its value in ``env``: the flat rule by which a closure, and a
+    continuation record that pipeline A captures, holds exactly what it
+    will still read.  A name ``env`` does not bind is left out, so reading
+    it fails where it is read, as on pipeline B."""
+    frame = {}
+    for name in names:
+        scope = env
+        while scope is not None:
+            if name in scope.frame:
+                frame[name] = scope.frame[name]
+                break
+            scope = scope.parent
+    return Env(frame, None)
+
+
 def make_closure(lam, env: Env) -> Closure:
     """Close source lambda ``lam`` over exactly its free variables (one
     flat frame)."""
     fvs = lam.fvs
     if fvs is None:
         fvs = free_variables(lam)
-    frame = {}
-    lookup = env.lookup
-    for name in fvs:
-        frame[name] = lookup(name)
-    return Closure(lam, Env(frame, None))
+    return Closure(lam, flat_env(fvs, env))
 
 
 class Capsule:

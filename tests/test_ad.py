@@ -13,9 +13,10 @@ from ckad.ad import (FlatSensitivity, bundle, collect_leaves, forward_j,
 from ckad.direct import run_program_direct
 from ckad.errors import CotangentShapeError
 from ckad.parser import parse_program
-from ckad.values import EMPTY, Pair
+from ckad.values import EMPTY, Env, Pair
 
-from conftest import assert_close, central_fd, rel_err, run_value
+from conftest import (assert_close, bitwise_equal, central_fd, rel_err,
+                      run_value)
 
 
 def apply_py(f, x):
@@ -144,6 +145,25 @@ def test_pair_output_takes_structured_cotangent():
     assert_close(xbar, 2 * 0.7, 1e-14, "car component")
     _y, xbar = reverse_j(f, 0.7, Pair(0.0, 1.0), apply_py)
     assert_close(xbar, math.cos(0.7), 1e-14, "cdr component")
+
+
+def test_reverse_j_without_y_gives_the_same_cotangent():
+    # a caller that drops y gets None for it and the same cotangent bits,
+    # for a ground output and for a non-ground one (a flat cotangent)
+    def pair_out(p):
+        return Pair(lift_binary("*", p.car, p.cdr), lift_unary("sin", p.car))
+
+    def env_out(p):
+        return Env({"a": lift_binary("/", p.car, p.cdr), "b": p.car}, None)
+
+    for f, ybar in ((pair_out, Pair(1.0, -0.5)),
+                    (env_out, FlatSensitivity([1.0, 0.25]))):
+        y, xbar = reverse_j(f, Pair(0.7, 1.9), ybar, apply_py)
+        assert y is not None
+        no_y, xbar2 = reverse_j(f, Pair(0.7, 1.9), ybar, apply_py,
+                                need_y=False)
+        assert no_y is None
+        assert bitwise_equal(xbar2, xbar)
 
 
 def test_shared_leaf_gets_one_tape_cell_and_accumulates():

@@ -3,6 +3,7 @@ artifacts, and determinism of everything but wall-clock time."""
 
 import csv
 import json
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -96,6 +97,19 @@ def test_run_reports_too_deep_nesting(runner, tmp_path):
     res = invoke(runner, "run", str(deep))
     assert res.exit_code == 1
     assert res.output.startswith("error: 1:7001: lists nested deeper")
+
+
+def test_run_prints_a_value_nested_deeper_than_the_recursion_limit(
+        runner, tmp_path):
+    # the list is built at run time: the parser would reject its literal
+    assert sys.getrecursionlimit() <= 1000
+    deep = tmp_path / "deep_value.cvl"
+    deep.write_text("(define (nest n v)\n"
+                    "  (if (<= n 0.0) v (nest (- n 1.0) (cons v nil))))\n"
+                    "(nest 1500.0 1.0)\n")
+    res = invoke(runner, "run", str(deep))
+    assert res.exit_code == 0
+    assert res.output == "(" * 1500 + "1.0" + ")" * 1500 + "\n"
 
 
 def test_run_rejects_bad_criterion(runner):

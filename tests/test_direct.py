@@ -9,6 +9,7 @@ import math
 import pytest
 
 from ckad.direct import StepCounter, run_program_direct
+from ckad.drivers import MIN_ALPHA, RunConfig
 from ckad.errors import (ArithmeticEvalError, EvalError,
                          NotAFunctionError, UnboundVariableError)
 from ckad.parser import parse_program
@@ -113,6 +114,30 @@ def test_error_message_formats_a_deep_list(pipeline):
             run_program_direct(program)
         else:
             run_value(program, pipeline=pipeline)
+
+
+@pytest.mark.parametrize("pipeline", ["direct", "a", "b"])
+def test_an_unbound_name_fails_where_it_is_read(pipeline):
+    # a closure over a name bound nowhere is made, as is a capture whose
+    # pending branch names it; only reading the name fails
+    made = parse_program("((lambda (f) 1.0) (lambda (x) y))")
+    captured = parse_program("""
+    (define (f x) (* (sin (sin (sin (sin (sin x))))) (if (< x 0.0) (g x) x)))
+    (car (checkpoint-*j f 1.3 1.0))""")
+    read = parse_program("((lambda (f) (f 1.0)) (lambda (x) y))")
+    if pipeline == "direct":
+        values = [run_program_direct(p) for p in (made, captured)]
+        with pytest.raises(UnboundVariableError):
+            run_program_direct(read)
+    else:
+        config = RunConfig(alpha=MIN_ALPHA)  # splits inside the left factor
+        values = [run_value(p, config, pipeline) for p in (made, captured)]
+        with pytest.raises(UnboundVariableError):
+            run_value(read, config, pipeline)
+    left = 1.3
+    for _ in range(5):
+        left = math.sin(left)
+    assert values == [1.0, left * 1.3]
 
 
 def test_runtime_errors():

@@ -288,6 +288,28 @@ def test_run_checkpoint_dispatch(pipeline, pipeline_b, monkeypatch):
             assert isinstance(info.value, CkadError)
 
 
+@pytest.mark.parametrize("algorithm", ["binary", "treeverse", "bisect"])
+def test_only_the_rightmost_leaf_asks_for_y(pipeline, pipeline_b,
+                                            monkeypatch, algorithm):
+    # every other leaf's output is dropped, so it is not stripped either
+    for m, f, x, L, ref in (pipeline, pipeline_b):
+        asked = []
+        reverse_base = m.reverse_base
+
+        def spy(f, x, ybar, need_y=True):
+            asked.append(need_y)
+            return reverse_base(f, x, ybar, need_y)
+
+        monkeypatch.setattr(m, "reverse_base", spy)
+        METER.reset()
+        cfg = RunConfig(mode="checkpoint", algorithm=algorithm, alpha=16)
+        y, xbar = run_checkpoint(m, f, x, 1.0, cfg)
+        monkeypatch.undo()
+        assert len(asked) == METER.leaves > 1
+        assert asked.count(True) == 1
+        assert bitwise_equal(y, ref[0]) and bitwise_equal(xbar, ref[1])
+
+
 def test_run_checkpoint_reuses_known_length(pipeline):
     m, f, x, L, ref = pipeline
     cfg = RunConfig(mode="checkpoint", algorithm="bisect", alpha=16,
