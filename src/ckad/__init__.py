@@ -15,38 +15,42 @@ Public surface:
   the synthetic benchmark, and the command-line interface
 """
 
-from .ad import forward_j, reverse_j
-from .bench import (BenchmarkParams, build_example, build_example_program,
-                    execute_program, initial_state, make_machine,
-                    run_benchmark)
-from .cps import CpsMachine
-from .direct import StepCounter, eval_direct, run_program_direct
-from .drivers import (DEFAULT_ALPHA, MIN_ALPHA, FixedSpace, FixedTime,
-                      Logarithmic, RunConfig, checkpoint_reverse_binary,
-                      checkpoint_reverse_bisect, checkpoint_reverse_treeverse,
-                      criterion_name, eta, mid, parse_criterion, pick,
-                      run_checkpoint, schedule_oracle)
-from .errors import CkadError, EvalError, ParseError
-from .extended import ExtendedMachine
-from .metrics import CSV_COLUMNS, METER, RunMetrics
-from .parser import Program, parse_expr, parse_program
-from .values import BOTTOM, EMPTY, INFINITY, Capsule, Closure, Env, Pair
-
 __version__ = "0.1.0"
 
-__all__ = [
-    "forward_j", "reverse_j",
-    "BenchmarkParams", "build_example", "build_example_program",
-    "execute_program", "initial_state", "make_machine", "run_benchmark",
-    "CpsMachine", "ExtendedMachine",
-    "StepCounter", "eval_direct", "run_program_direct",
-    "DEFAULT_ALPHA", "MIN_ALPHA", "FixedSpace", "FixedTime", "Logarithmic",
-    "RunConfig", "checkpoint_reverse_binary", "checkpoint_reverse_bisect",
-    "checkpoint_reverse_treeverse", "criterion_name", "eta", "mid",
-    "parse_criterion", "pick", "run_checkpoint", "schedule_oracle",
-    "CkadError", "EvalError", "ParseError",
-    "CSV_COLUMNS", "METER", "RunMetrics",
-    "Program", "parse_expr", "parse_program",
-    "BOTTOM", "EMPTY", "INFINITY", "Capsule", "Closure", "Env", "Pair",
-    "__version__",
-]
+# each public name and the submodule that defines it; a name is imported
+# on first access (PEP 562), so importing one submodule does not load the
+# others
+_EXPORTS = {
+    "ad": ("forward_j", "reverse_j"),
+    "bench": ("BenchmarkParams", "build_example", "build_example_program",
+              "execute_program", "initial_state", "make_machine",
+              "run_benchmark"),
+    "cps": ("CpsMachine",),
+    "direct": ("StepCounter", "eval_direct", "run_program_direct"),
+    "drivers": ("DEFAULT_ALPHA", "MIN_ALPHA", "FixedSpace", "FixedTime",
+                "Logarithmic", "RunConfig", "checkpoint_reverse_binary",
+                "checkpoint_reverse_bisect", "checkpoint_reverse_treeverse",
+                "criterion_name", "eta", "mid", "parse_criterion", "pick",
+                "run_checkpoint", "schedule_oracle"),
+    "errors": ("CkadError", "EvalError", "ParseError"),
+    "extended": ("ExtendedMachine",),
+    "metrics": ("CSV_COLUMNS", "METER", "RunMetrics"),
+    "parser": ("Program", "parse_expr", "parse_program"),
+    "values": ("BOTTOM", "EMPTY", "INFINITY", "Capsule", "Closure", "Env",
+               "Pair"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items()
+              for name in names}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+__all__.append("__version__")
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

@@ -11,11 +11,28 @@ same variable.
 
 Reverse mode is structural: the independent value's numeric leaves are
 replaced by tape cells before the function runs, and the cotangent is
-read back off the cells afterwards.  The structural code deliberately
-handles *any* runtime value — including capsules, closures, environments
-and continuation records — because the checkpointing drivers
-differentiate through interrupted computations whose inputs and outputs
-are exactly such structures.
+read back off their records afterwards.  Each open reverse level has one
+:class:`Tape`, a Wengert list in flat arrays (Griewank & Walther,
+*Evaluating Derivatives*, 2008): per operation one record of parent
+indices and local partials, in ``array('q')`` and ``array('d')``.  A
+:class:`TapeCell` holds only its primal, its record's index, its tape and
+its level, and the tape holds no cell, so a taped run keeps about 50 bytes
+per operation alive.  When both operands' primals are floats the
+partials are computed inline as floats; the sweep keeps its cotangents
+in an ``array('d')`` and does ``cot[p] = cot[p] + partial * cot`` per
+parent, skipping records whose cotangent is zero.  Partials and
+cotangents that are AD values (an enclosing operator differentiating a
+reverse pass, as in forward-over-reverse or reverse-over-reverse) stay
+general values: the tape's partials become a list and the sweep combines
+them with the lifted operations, so the enclosing operator sees every
+step.  Both ways do the same float operations in the same order.  The
+meter learns each tape's length when a level exits, which is when the
+live total peaks.
+
+The structural code deliberately handles *any* runtime value — including
+capsules, closures, environments and continuation records — because the
+checkpointing drivers differentiate through interrupted computations
+whose inputs and outputs are exactly such structures.
 
 One iterative walk, :func:`collect_leaves`, indexes a value: its unique
 numeric leaves in walk order (shared leaves appear once, so one tape cell
@@ -83,23 +100,56 @@ class Dual:
 
 
 class TapeCell:
-    """A node of the reverse-mode tape at a nesting level.
+    """A value on a reverse-mode tape at a nesting level: its primal, its
+    record's ``index`` on its own ``tape``, and the level.
 
-    ``parents`` holds (cell, local-partial) pairs; partials and the
-    cotangent accumulator are general values so that a reverse pass can
-    itself be differentiated by an enclosing operator.
+    The cell holds no parents and no cotangent: those live in the tape's
+    record ``index`` (parent indices and float partials in flat arrays,
+    see :class:`Tape`), and the tape holds no cell, so a cell lives only
+    as long as the program holds it.  The primal may be an AD value of a
+    shallower level (an enclosing operator's perturbation or cell); the
+    partials computed from it are then AD values too, kept as general
+    values by the tape and swept with the lifted operations.  A cell whose
+    tape is not the one open at its level (its level was exited, and
+    perhaps entered again by a later operator) is a constant: arithmetic
+    on it records no parent, and with no tape open at its level at all it
+    yields its primal result.
     """
 
-    __slots__ = ("primal", "parents", "cot", "level")
+    __slots__ = ("primal", "index", "tape", "level")
 
-    def __init__(self, primal, parents, level: int):
+    def __init__(self, primal, index: int, tape, level: int):
         self.primal = primal
-        self.parents = parents
-        self.cot = 0.0
+        self.index = index
+        self.tape = tape
         self.level = level
 
     def __repr__(self) -> str:
         return f"<cell@{self.level} {self.primal!r}>"
+
+
+class Tape:
+    """One open reverse-mode level's Wengert list: one flat record per
+    operation, in the order the operations ran.
+
+    Record ``i`` made the cell of index ``i``.  Its parents are the
+    record indices ``parents[starts[i]:starts[i + 1]]`` (the last record
+    ends at ``len(parents)``), each with the local partial at the same
+    position of ``partials``.  A parent whose partial is a float zero is
+    not recorded.  Row starts and parent indices are ``array('q')``s.
+    Partials are an ``array('d')`` while every one is a float; the first
+    that is an AD value (an enclosing operator differentiating through
+    this level, as in forward-over-reverse or reverse-over-reverse) turns
+    them into a list of general values for the rest of the level.
+    """
+
+    __slots__ = ("starts", "parents", "partials")
+
+    def __init__(self):
+        from array import array  # not needed until the first reverse pass
+        self.starts = array("q")
+        self.parents = array("q")
+        self.partials = array("d")
 
 
 class FlatSensitivity:
@@ -180,16 +230,35 @@ _PRIM_BINARY = {
 # lifted arithmetic
 # ---------------------------------------------------------------------------
 
-def _new_cell(primal, parents, level):
-    cell = TapeCell(primal, parents, level)
-    registry = _registries[level]
-    registry.append(cell)
-    METER.cells_created()
-    return cell
-
-
-# open tape registries, keyed by level
+# the tape of each open reverse level, keyed by level
 _registries: dict = {}
+
+
+def _record(primal, level, a, da, b, db):
+    """The cell of a new record on the tape open at ``level``, with
+    parent ``a`` (partial ``da``) and parent ``b`` (partial ``db``).  An
+    operand is recorded only if it is a cell of that tape and its partial
+    is not a float zero; other operands are constants of this level."""
+    tape = _registries.get(level)
+    if tape is None:
+        return primal
+    starts = tape.starts
+    parents = tape.parents
+    partials = tape.partials
+    starts.append(len(parents))
+    if (type(a) is TapeCell and a.tape is tape
+            and (type(da) is not float or da != 0.0)):
+        if type(da) is not float and type(partials) is not list:
+            partials = tape.partials = partials.tolist()
+        parents.append(a.index)
+        partials.append(da)
+    if (type(b) is TapeCell and b.tape is tape
+            and (type(db) is not float or db != 0.0)):
+        if type(db) is not float and type(partials) is not list:
+            partials = tape.partials = partials.tolist()
+        parents.append(b.index)
+        partials.append(db)
+    return TapeCell(primal, len(starts) - 1, tape, level)
 
 
 def _d_unary(op, x):
@@ -212,25 +281,36 @@ def _d_unary(op, x):
     raise EvalError(f"unknown unary operator: {op}")
 
 
+# _d_unary on a float x, given y = op(x): the same float operations
+_D_UNARY_FLOAT = {
+    "sqrt": lambda x, y: _prim_div(0.5, y),
+    "sin": lambda x, y: math.cos(x),
+    "cos": lambda x, y: 0.0 - math.sin(x),
+    "exp": lambda x, y: y,
+    "log": lambda x, y: 1.0 / x,
+    "atan": lambda x, y: 1.0 / (1.0 + x * x),
+    "floor": lambda x, y: 0.0,
+}
+
+
 def lift_unary(op, v):
-    if not isinstance(v, _AD):
-        fn = _PRIM_UNARY.get(op)
-        if fn is None:
-            raise EvalError(f"unknown unary operator: {op}")
-        return fn(float(v))
-    if type(v) is Dual:
+    t = type(v)
+    if t is TapeCell:
+        x = v.primal
+        primal = lift_unary(op, x)
+        if type(x) is float:
+            partial = _D_UNARY_FLOAT[op](x, primal)
+        else:
+            partial = _d_unary(op, x)
+        return _record(primal, v.level, v, partial, None, 0.0)
+    if t is Dual:
         primal = lift_unary(op, v.primal)
         tangent = lift_binary("*", _d_unary(op, v.primal), v.tangent)
         return Dual(primal, tangent, v.level)
-    # TapeCell
-    primal = lift_unary(op, v.primal)
-    partial = _d_unary(op, v.primal)
-    parents = ((v, partial),) if not _is_zero(partial) else ()
-    return _new_cell(primal, parents, v.level)
-
-
-def _is_zero(v) -> bool:
-    return type(v) is float and v == 0.0
+    fn = _PRIM_UNARY.get(op)
+    if fn is None:
+        raise EvalError(f"unknown unary operator: {op}")
+    return fn(float(v))
 
 
 def lift_binary(op, a, b):
@@ -263,15 +343,30 @@ def lift_binary(op, a, b):
             tb = lift_binary("*", db, b.tangent)
             tangent = lift_binary("+", tangent, tb) if a_top else tb
         return Dual(primal, tangent, level)
-    # TapeCell at the top level
-    primal = lift_binary(op, pa, pb)
-    da, db = _d_binary(op, pa, pb)
-    parents = []
-    if a_top and not _is_zero(da):
-        parents.append((a, da))
-    if b_top and not _is_zero(db):
-        parents.append((b, db))
-    return _new_cell(primal, tuple(parents), level)
+    # a tape cell at the top level
+    if type(pa) is float and type(pb) is float:
+        # first order: _d_binary's float operations, inline
+        if op == "*":
+            primal = pa * pb
+            da = pb
+            db = pa
+        elif op == "+":
+            primal = pa + pb
+            da = db = 1.0
+        elif op == "-":
+            primal = pa - pb
+            da = 1.0
+            db = -1.0
+        elif op == "/":
+            primal = _prim_div(pa, pb)
+            da = 1.0 / pb
+            db = 0.0 - primal / pb
+        else:
+            raise EvalError(f"unknown binary operator: {op}")
+    else:
+        primal = lift_binary(op, pa, pb)
+        da, db = _d_binary(op, pa, pb)
+    return _record(primal, level, a, da, b, db)
 
 
 def _d_binary(op, a, b):
@@ -548,6 +643,51 @@ def forward_j(f, x, x_tangent, applier):
 # reverse mode
 # ---------------------------------------------------------------------------
 
+def _sweep(tape, seeds):
+    """Every record's cotangent: ``seeds`` ((index, cotangent) pairs)
+    added in, then propagated from the last record to the first.
+
+    A record whose cotangent is a float zero is skipped; otherwise each
+    parent ``p`` of the record gets ``cot[p] + partial * cot``.  With
+    float partials and float seeds every cotangent is a float and they
+    live in an ``array('d')``; otherwise they are general values combined
+    by the lifted operations, so an enclosing operator differentiates the
+    sweep.  Both do the same float operations in the same order."""
+    starts = tape.starts
+    parents = tape.parents
+    partials = tape.partials
+    n = len(starts)
+    hi = len(parents)
+    if (type(partials) is not list
+            and all(type(c) is float for _i, c in seeds)):
+        from array import array
+        cots = array("d", [0.0]) * n
+        for i, c in seeds:
+            cots[i] = cots[i] + c
+        for i in range(n - 1, -1, -1):
+            lo = starts[i]
+            c = cots[i]
+            if c != 0.0:
+                for j in range(lo, hi):
+                    p = parents[j]
+                    cots[p] = cots[p] + partials[j] * c
+            hi = lo
+        return cots
+    cots = [0.0] * n
+    for i, c in seeds:
+        cots[i] = lift_binary("+", cots[i], c)
+    for i in range(n - 1, -1, -1):
+        lo = starts[i]
+        c = cots[i]
+        if type(c) is not float or c != 0.0:
+            for j in range(lo, hi):
+                p = parents[j]
+                cots[p] = lift_binary(
+                    "+", cots[p], lift_binary("*", partials[j], c))
+        hi = lo
+    return cots
+
+
 def reverse_j(f, x, y_cotangent, applier, need_y=True):
     """Reverse-mode derivative: returns (y, x_cotangent).
 
@@ -561,40 +701,36 @@ def reverse_j(f, x, y_cotangent, applier, need_y=True):
     ``None``.  The cotangent is the same either way.
     """
     level = _enter_level()
-    registry: list = []
-    _registries[level] = registry
+    tape = _registries[level] = Tape()
     try:
         x_index = collect_leaves(x)
+        # the first records on this level's tape are x's, in index order
         x_taped = map_structure(
-            x, lambda leaf: _new_cell(leaf, (), level), x_index)
-        # the first cells on this level's tape are x's, in index order
-        x_cells = registry[:len(x_index)]
+            x, lambda leaf: _record(leaf, level, None, 0.0, None, 0.0),
+            x_index)
         out = applier(f, x_taped)
         out_index = collect_leaves(out)
-        for leaf, entry in zip(out_index, _entries(
-                out_index, y_cotangent, True, "cotangent")):
-            if type(leaf) is TapeCell and leaf.level == level:
-                leaf.cot = lift_binary("+", leaf.cot, entry)
-        # reverse sweep in anti-chronological order
-        for cell in reversed(registry):
-            cot = cell.cot
-            if _is_zero(cot):
-                continue
-            for parent, partial in cell.parents:
-                parent.cot = lift_binary(
-                    "+", parent.cot, lift_binary("*", partial, cot))
+        seeds = [(leaf.index, entry) for leaf, entry in zip(
+            out_index, _entries(out_index, y_cotangent, True, "cotangent"))
+            if type(leaf) is TapeCell and leaf.tape is tape]
+        cots = _sweep(tape, seeds)[:len(x_index)]
         y = None
         if need_y:
             y = map_structure(
                 out, lambda leaf: leaf.primal
                 if type(leaf) is TapeCell and leaf.level == level else leaf,
                 out_index)
-        cots = [cell.cot for cell in x_cells]
         if x_index.ground:
             it = iter(cots)
             return y, map_structure(x, lambda _leaf: next(it), x_index)
         return y, FlatSensitivity(cots)
     finally:
-        METER.cells_released(len(registry))
+        # the live total only grows between level exits, so its peak is
+        # reached just before one: bring the meter up to every open
+        # tape's length, then release this one's records
+        live = sum(len(t.starts) for t in _registries.values())
+        METER.cells_created(live - METER.tape_live)
+        METER.cells_released(len(tape.starts))
+        tape.starts = tape.parents = tape.partials = None
         del _registries[level]
         _exit_level()

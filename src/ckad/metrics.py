@@ -19,7 +19,6 @@ tuples so they are cheap to emit and easy to serialize:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 
@@ -85,6 +84,7 @@ class Meter:
             self.trace.append(("done",))
 
     def write_trace_jsonl(self, path: str) -> None:
+        import json
         with open(path, "w") as fh:
             for event in self.trace:
                 record = {"event": event[0]}

@@ -2,16 +2,22 @@
 handling, nesting, and perturbation confusion."""
 
 import math
+import struct
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ckad.ad import (FlatSensitivity, bundle, collect_leaves, forward_j,
-                     lift_binary, lift_unary, map_structure, reverse_j,
-                     unbundle)
+from ckad import ad
+from ckad.ad import (Dual, FlatSensitivity, bundle, collect_leaves,
+                     forward_j, lift_binary, lift_unary, map_structure,
+                     reverse_j, unbundle)
+from ckad.bench import BenchmarkParams, build_example_program
+from ckad.cps import CpsMachine
 from ckad.direct import run_program_direct
-from ckad.errors import CotangentShapeError
+from ckad.drivers import RunConfig
+from ckad.errors import CotangentShapeError, EvalError
+from ckad.metrics import METER
 from ckad.parser import parse_program
 from ckad.values import EMPTY, Env, Pair
 
@@ -333,3 +339,257 @@ def test_shape_errors_on_a_deep_value_are_shape_errors():
         reverse_j(lambda x: Pair(x, 2.0), 1.0, Pair(deep, 1.0), apply_py)
     with pytest.raises(CotangentShapeError):
         forward_j(lambda x: x, 1.0, deep, apply_py)
+
+
+# -- tapes ---------------------------------------------------------------------
+
+def test_a_cell_of_a_closed_tape_is_a_constant():
+    # two reverse passes in turn use one level; a cell kept from the first
+    # has the index of the second's input, and must not be read against
+    # the second's tape
+    kept = []
+
+    def first(x):
+        kept.append(x)
+        return lift_binary("*", x, x)
+
+    reverse_j(first, 3.0, 1.0, apply_py)
+    stale = kept[0]
+    _y, g = reverse_j(
+        lambda x: lift_binary("*", lift_binary("+", x, stale), x), 2.0, 1.0,
+        apply_py)
+    assert g == 2.0 * 2.0 + 3.0  # d/dx (x + 3) x at x = 2
+    # with no tape open at its level it gives its primal result
+    assert lift_binary("*", stale, 2.0) == 6.0
+    assert lift_unary("exp", stale) == math.exp(3.0)
+
+
+def test_inner_reverse_passes_in_turn_over_an_outer_one():
+    # g(x) = q'(x) + q'(2x) with q = x^4: two inner tapes, one after the
+    # other at the same level, both recording onto the outer tape
+    def dq(x):
+        return reverse_j(quartic, x, 1.0, apply_py)[1]
+
+    def g(x):
+        return lift_binary("+", dq(x), dq(lift_binary("*", 2.0, x)))
+
+    _y, h = reverse_j(g, 1.5, 1.0, apply_py)
+    assert_close(h, 12.0 * 1.5 ** 2 + 96.0 * 1.5 ** 2, 1e-14, "g'(1.5)")
+
+
+@pytest.mark.parametrize("pipeline", ["a", "b"])
+def test_leaves_at_one_depth_with_inner_tapes_match_the_taped_gradient(
+        pipeline):
+    # every checkpoint-*j leaf opens a tape at the same level, and the *j
+    # inside it another one level deeper
+    body = """
+(define (g y) (* y (sin y)))
+(define (loop x k)
+  (if (< k 0.5) x (loop (+ x (* 0.1 (cdr (*j g x 1.0)))) (- k 1.0))))
+({} (lambda (x) (loop x 6.0)) 0.9 1.0)
+"""
+    taped = run_value(parse_program(body.format("*j")), pipeline=pipeline)
+    config = RunConfig(alpha=8)
+    METER.reset()
+    value = run_value(parse_program(body.format("checkpoint-*j")), config,
+                      pipeline)
+    assert METER.leaves > 1
+    METER.reset()
+    assert bitwise_equal(value, taped)
+
+
+def test_tape_bytes_per_live_cell():
+    # the tracemalloc peak of one reverse-mode gradient over its tape
+    # peak: flat records, no cell objects kept by the tape
+    import tracemalloc
+    program = build_example_program(BenchmarkParams(100, 8))
+    machine = CpsMachine(RunConfig(mode="reverse"))
+    METER.reset()
+    tracemalloc.start()
+    try:
+        machine.run_program(program)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    cells = METER.tape_peak
+    METER.reset()
+    assert cells == 20235
+    assert peak / cells <= 64, f"{peak / cells:.1f} B per cell"
+
+
+# -- the tape against an object-graph reference -------------------------------
+# The tape as it was before its records became flat arrays: one object per
+# operation holding (parent, partial) pairs, swept by the same rule.  Values
+# that are not reference cells go to the package's own lifts, so forward
+# mode (Dual) nests over it and it nests over itself.
+
+class RefCell:
+    __slots__ = ("primal", "parents", "cot", "level")
+
+    def __init__(self, primal, parents, level):
+        self.primal, self.parents, self.level = primal, parents, level
+        self.cot = 0.0
+
+
+REF_TAPES = {}  # level -> the open reference tape's cells, in order
+
+
+def ref_op(op, *args):
+    level = max(a.level if type(a) in (Dual, RefCell) else 0 for a in args)
+    tops = [type(a) is RefCell and a.level == level for a in args]
+    if not any(tops):
+        return (lift_unary if len(args) == 1 else lift_binary)(op, *args)
+    ps = [a.primal if top else a for a, top in zip(args, tops)]
+    primal = ref_op(op, *ps)
+    partials = ref_partials(op, *ps)
+    parents = tuple((a, d) for a, top, d in zip(args, tops, partials)
+                    if top and not (type(d) is float and d == 0.0))
+    cell = RefCell(primal, parents, level)
+    REF_TAPES[level].append(cell)
+    return cell
+
+
+def ref_partials(op, a, b=None):
+    if op in ("+", "-", "*"):
+        return {"+": (1.0, 1.0), "-": (1.0, -1.0), "*": (b, a)}[op]
+    if op == "/":
+        return (ref_op("/", 1.0, b),
+                ref_op("-", 0.0, ref_op("/", ref_op("/", a, b), b)))
+    return ({"sqrt": lambda: ref_op("/", 0.5, ref_op("sqrt", a)),
+             "sin": lambda: ref_op("cos", a),
+             "cos": lambda: ref_op("-", 0.0, ref_op("sin", a)),
+             "exp": lambda: ref_op("exp", a),
+             "log": lambda: ref_op("/", 1.0, a),
+             "atan": lambda: ref_op("/", 1.0, ref_op(
+                 "+", 1.0, ref_op("*", a, a))),
+             "floor": lambda: 0.0}[op](),)
+
+
+def ref_reverse(f, xs, ybar):
+    """The cotangents of the inputs ``xs`` (a Python list) of scalar
+    ``f``, on the reference tape."""
+    level = ad._enter_level()
+    tape = REF_TAPES[level] = []
+    try:
+        cells = [RefCell(x, (), level) for x in xs]
+        tape.extend(cells)
+        out = f(cells)
+        if type(out) is RefCell and out.level == level:
+            out.cot = ref_op("+", out.cot, ybar)
+        for cell in reversed(tape):
+            if type(cell.cot) is float and cell.cot == 0.0:
+                continue
+            for parent, partial in cell.parents:
+                parent.cot = ref_op(
+                    "+", parent.cot, ref_op("*", partial, cell.cot))
+        return [cell.cot for cell in cells]
+    finally:
+        del REF_TAPES[level]
+        ad._exit_level()
+
+
+UNARY_OPS = ["sqrt", "sin", "cos", "exp", "log", "atan", "floor"]
+SPECIAL = [0.0, -0.0, 1.0, -1.5, 0.5, 1e200, -1e200, math.inf, math.nan]
+
+
+@st.composite
+def dags(draw):
+    """Inputs and a DAG over them: each node applies an operator to
+    earlier nodes (so subexpressions are shared) or is a constant."""
+    floats = st.one_of(st.floats(-3.0, 3.0), st.sampled_from(SPECIAL))
+    xs = draw(st.lists(floats, min_size=1, max_size=3))
+    nodes = []
+    for _ in range(draw(st.integers(1, 12))):
+        last = len(xs) + len(nodes) - 1
+        # half the operands are the latest node, so most nodes reach the
+        # output
+        pick = st.one_of(st.just(last), st.integers(0, last))
+        kind = draw(st.sampled_from("uubbbbc"))
+        if kind == "u":
+            nodes.append((draw(st.sampled_from(UNARY_OPS)), draw(pick)))
+        elif kind == "b":
+            nodes.append((draw(st.sampled_from("+-*/")), draw(pick),
+                          draw(pick)))
+        else:
+            nodes.append(("const", draw(floats)))
+    return xs, nodes
+
+
+def eval_dag(nodes, xs, unary, binary):
+    vals = list(xs)
+    for node in nodes:
+        if node[0] == "const":
+            vals.append(node[1])
+        elif len(node) == 2:
+            vals.append(unary(node[0], vals[node[1]]))
+        else:
+            vals.append(binary(node[0], vals[node[1]], vals[node[2]]))
+    return vals[-1]
+
+
+def to_list(xs):
+    out = EMPTY
+    for v in reversed(xs):
+        out = Pair(v * 1.0 if type(v) is float else v, out)  # distinct leaves
+    return out
+
+
+def items(v):
+    out = []
+    while v is not EMPTY:
+        out.append(v.car)
+        v = v.cdr
+    return out
+
+
+def weighted_sum(binary, cots):
+    """One scalar of a gradient, for an outer reverse pass."""
+    acc = 0.0
+    for w, c in zip((1.0, -0.5, 2.0), cots):
+        acc = binary("+", acc, binary("*", w, c))
+    return acc
+
+
+def outcome(thunk):
+    """The bits of every float ``thunk`` returns, or the type of the
+    exception it raises."""
+    try:
+        floats = thunk()
+    except (ArithmeticError, ValueError, EvalError) as exc:
+        return type(exc)
+    return struct.pack(f"<{len(floats)}d", *floats)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(dags(), st.sampled_from([1.0, -0.5, 0.0, -0.0, 3.0]),
+       st.sampled_from([1.0, -2.0, 0.0]))
+def test_tape_gives_the_reference_tapes_cotangent_bits(dag, ybar, v):
+    xs, nodes = dag
+
+    def f(x):
+        return eval_dag(nodes, items(x), lift_unary, lift_binary)
+
+    def f_ref(cells):
+        return eval_dag(nodes, cells, ref_op, ref_op)
+
+    def grad(x):
+        return reverse_j(f, x, ybar, apply_py)[1]
+
+    def grad_ref(x):
+        return to_list(ref_reverse(f_ref, items(x), ybar))
+
+    first = outcome(lambda: items(grad(to_list(xs))))
+    assert first == outcome(lambda: ref_reverse(f_ref, xs, ybar))
+    tangent = to_list([v] * len(xs))
+
+    def fwd(g):
+        y, t = forward_j(g, to_list(xs), tangent, apply_py)
+        return items(y) + items(t)
+
+    assert outcome(lambda: fwd(grad)) == outcome(lambda: fwd(grad_ref))
+    rr = outcome(lambda: items(reverse_j(
+        lambda x: weighted_sum(lift_binary, items(grad(x))),
+        to_list(xs), 1.0, apply_py)[1]))
+    assert rr == outcome(lambda: ref_reverse(
+        lambda cells: weighted_sum(
+            ref_op, ref_reverse(f_ref, cells, ybar)), xs, 1.0))

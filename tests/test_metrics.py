@@ -4,9 +4,12 @@ layout, and the space/recompute trends the meter is meant to expose."""
 import json
 import math
 
+import pytest
+
 from ckad.cps import CpsMachine
 from ckad.drivers import (RunConfig, checkpoint_reverse_bisect,
                           run_checkpoint)
+from ckad.extended import ExtendedMachine
 from ckad.metrics import CSV_COLUMNS, METER, Meter, RunMetrics
 from ckad.parser import parse_program
 
@@ -19,6 +22,36 @@ def test_meter_tape_high_water_mark():
     m.cells_created(2)
     assert m.tape_peak == 8
     assert m.tape_live == 4
+
+
+# programs that hold two tapes open at once, with their tape peaks as the
+# per-cell meter counted them
+TWO_TAPE_PROGRAMS = [
+    # a *j inside every checkpoint-*j leaf (14 leaves at alpha=8)
+    ("""
+(define (g y) (* y (sin y)))
+(define (loop x k)
+  (if (< k 0.5) x (loop (+ x (* 0.1 (cdr (*j g x 1.0)))) (- k 1.0))))
+(checkpoint-*j (lambda (x) (loop x 6.0)) 0.9 1.0)
+""", {"checkpoint": 15, "reverse": 68}),
+    # reverse over reverse
+    ("""
+(define (g y) (* y (exp (* 0.5 y))))
+(*j (lambda (x) (cdr (*j g x 1.0))) 0.9 1.0)
+""", {"checkpoint": 17, "reverse": 17}),
+]
+
+
+@pytest.mark.parametrize("source,peaks", TWO_TAPE_PROGRAMS)
+@pytest.mark.parametrize("machine", [CpsMachine, ExtendedMachine])
+def test_tape_peak_counts_every_open_tape(source, peaks, machine):
+    program = parse_program(source)
+    for mode, peak in peaks.items():
+        METER.reset()
+        machine(RunConfig(mode=mode, alpha=8)).run_program(program)
+        assert METER.tape_peak == peak, mode
+        assert METER.tape_live == 0
+    METER.reset()
 
 
 def test_meter_snapshot_accounting():
