@@ -195,13 +195,6 @@ def _prim_log(x):
     return math.log(x)
 
 
-def _prim_exp(x):
-    try:
-        return math.exp(x)
-    except OverflowError:
-        raise ArithmeticEvalError(f"exp overflow: {x}") from None
-
-
 def _prim_div(a, b):
     if b == 0.0:
         raise ArithmeticEvalError("division by zero")
@@ -212,7 +205,7 @@ _PRIM_UNARY = {
     "sqrt": _prim_sqrt,
     "sin": math.sin,
     "cos": math.cos,
-    "exp": _prim_exp,
+    "exp": math.exp,
     "log": _prim_log,
     "atan": math.atan,
     "floor": lambda x: float(math.floor(x)),
@@ -310,7 +303,12 @@ def lift_unary(op, v):
     fn = _PRIM_UNARY.get(op)
     if fn is None:
         raise EvalError(f"unknown unary operator: {op}")
-    return fn(float(v))
+    try:
+        return fn(float(v))
+    except (ValueError, OverflowError):
+        # exp of a large number, or sin, cos or floor of an infinity or NaN
+        raise ArithmeticEvalError(
+            f"{op} undefined or out of range at {v}") from None
 
 
 def lift_binary(op, a, b):

@@ -8,6 +8,13 @@ evaluator is therefore a flat loop over (environment, expression) states;
 it returns when it reaches a terminal operand (the body of a host-level
 bottom continuation) or when a limit check packages a capsule.
 
+Closures follow the rule of ``direct`` and pipeline A: a function value
+closes over exactly its free variables, in one flat frame
+(:func:`ckad.values.make_closure`).  Continuation closures keep the
+environment they were made in while the run goes on; only at capture are
+the stopped run's own closures copied flat (:func:`_canonical`), so a
+capsule's structure depends only on the execution point.
+
 The machine inherits its host interface from :class:`ckad.cps.Machine`,
 as :class:`ckad.cps.CpsMachine` does, and supplies only the two runners
 and the converted-code ``make_I``/``make_R`` lambdas; so the checkpointing
@@ -18,106 +25,53 @@ from __future__ import annotations
 
 from .ast import (T_APP3, T_APP4, T_BINARY, T_CONST, T_HOSTOP, T_IF,
                   T_INTERRUPT, T_LAMBDA3, T_LAMBDA4, T_LIMIT, T_RESUME,
-                  T_UNARY, T_VAR, Lambda3, Var, free_variables)
+                  T_UNARY, T_VAR, Lambda3, Var)
 from .ad import apply_binary, apply_unary
 from .convert import (I_LAMBDA4, K, L, N, R_LAMBDA4, _Gensym, convert_lambda,
                       convert_top)
 from .cps import Machine, host_ad
 from .errors import EvalError, NotAFunctionError
 from .parser import Program
-from .values import BOTTOM, INFINITY, Capsule, Closure, Env, Pair
+from .values import BOTTOM, INFINITY, Capsule, Closure, Env, make_closure
 
 # the host-level bottom continuation (a genuine converted-code value)
 K3_VALUE = Closure(Lambda3(N, L, "%v", Var("%v")), Env({}, None))
 
 
-def _restrict(env: Env, fvs) -> Env:
-    """Close over exactly ``fvs``, keeping the root frame as parent."""
-    if env.parent is None:
-        return env
-    root = env
-    while root.parent is not None:
-        root = root.parent
-    frame = {}
-    for name in fvs:
-        scope = env
-        while scope is not root:
-            if name in scope.frame:
-                frame[name] = scope.frame[name]
-                break
-            scope = scope.parent
-    return Env(frame, root)
+def _canonical(k, f) -> Capsule:
+    """The capsule of continuation ``k`` and restart closure ``f``, with
+    each of the stopped run's own closures copied flat by
+    :func:`ckad.values.make_closure`.
 
+    Function values are made flat by the same rule, and every capsule a
+    run holds was made flat at its own capture, so the only closures
+    whose environment has a parent are the run's continuation closures
+    and the restart closure: reached from ``k`` and ``f`` and from those
+    closures' frames, never through a pair or a capsule.  Copying them
+    makes a resumed run's capsule, whose chains have the restart lambda's
+    extra frame, the same as a straight run's; the reverse sweep pairs
+    cotangents with a capsule's leaves by position, so it must be.
 
-_EXIT = object()  # stack marker: the pair or capsule below it is complete
-
-
-def _canonical(root):
-    """Rewrite every closure reachable in a captured value so it closes
-    over exactly its free variables (flat frame, sorted names, root kept
-    as parent).
-
-    A resumed run's environment chains differ in shape from a straight
-    run's (resumption enters through the restart lambda, adding a frame),
-    even though they bind the same values.  The reverse sweep pairs flat
-    cotangents with capsule leaves by traversal order, so a capsule's
-    structure must depend only on the execution point and the values it
-    holds — canonicalizing at capture guarantees that.
-
-    The walk keeps its own stack.  A closure's rewrite exists from its
-    first visit, and its frame is rewritten once the whole value has been
-    walked; a pair or capsule is rewritten once its parts are.
+    A closure's copy exists from its first visit; its frame is fixed up,
+    to point at the other copies, once the walk is done.
     """
-    memo = {}    # id of a visited closure, capsule or pair -> its rewrite
-    frames = []  # the rewritten closures' frames, still holding old values
-    stack = [root]
+    memo = {}    # id of a parented closure -> its flat copy
+    frames = []  # the copies' frames, still holding the originals
+    stack = [f, k]
     pop = stack.pop
     while stack:
         v = pop()
-        if v is _EXIT:
-            v = pop()
-            if type(v) is Capsule:
-                new = Capsule(memo.get(id(v.k), v.k), memo.get(id(v.f), v.f))
-            else:
-                car = memo.get(id(v.car), v.car)
-                cdr = memo.get(id(v.cdr), v.cdr)
-                new = (v if car is v.car and cdr is v.cdr
-                       else Pair(car, cdr))
-            memo[id(v)] = new
+        if type(v) is not Closure or v.env.parent is None or id(v) in memo:
             continue
-        t = type(v)
-        if t is Closure:
-            if id(v) in memo:
-                continue
-            lam = v.lam
-            if v.env.parent is not None:
-                fvs = lam.fvs
-                if fvs is None:
-                    fvs = free_variables(lam)
-                env = _restrict(v.env, fvs)
-                memo[id(v)] = Closure(lam, env)
-                frames.append(env.frame)
-                stack.extend(env.frame.values())
-            elif lam is I_LAMBDA4:
-                # of the host-made closures only the interrupt wrapper
-                # carries a value that needs canonicalizing
-                frame = v.env.frame
-                env = Env({"%f": frame["%f"], "%b": frame["%b"]}, None)
-                memo[id(v)] = Closure(lam, env)
-                frames.append(env.frame)
-                stack.append(frame["%f"])
-            else:
-                memo[id(v)] = v
-        elif t is Pair:
-            if id(v) not in memo:
-                stack += (v, _EXIT, v.cdr, v.car)
-        elif t is Capsule:
-            if id(v) not in memo:
-                stack += (v, _EXIT, v.f, v.k)
+        copy = make_closure(v.lam, v.env)
+        memo[id(v)] = copy
+        frame = copy.env.frame
+        frames.append(frame)
+        stack.extend(frame.values())
     for frame in frames:
         for name, value in frame.items():
             frame[name] = memo.get(id(value), value)
-    return memo.get(id(root), root)
+    return Capsule(memo.get(id(k), k), memo.get(id(f), f))
 
 
 class ExtendedMachine(Machine):
@@ -137,7 +91,7 @@ class ExtendedMachine(Machine):
                 l = self._operand(env, e.l_expr)
                 if n == l:
                     k = self._operand(env, e.k_expr)
-                    return _canonical(Capsule(k, Closure(e.relam, env)))
+                    return _canonical(k, Closure(e.relam, env))
                 e = e.body
                 continue
             if tag == T_APP3:
@@ -218,14 +172,7 @@ class ExtendedMachine(Machine):
         if tag == T_LAMBDA3:
             return Closure(e, env)
         if tag == T_LAMBDA4:
-            # Function values may live arbitrarily long; capture only
-            # their free variables (keeping the root frame as parent for
-            # late-bound top-level names) so transient continuation
-            # frames are not retained.
-            fvs = e.fvs
-            if fvs is None:
-                fvs = free_variables(e)
-            return Closure(e, _restrict(env, fvs))
+            return make_closure(e, env)
         if tag == T_BINARY:
             a = self._operand(env, e.left)
             b = self._operand(env, e.right)

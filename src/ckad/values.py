@@ -78,11 +78,15 @@ class Pair:
 class Env:
     """A frame of bindings plus an optional parent environment.
 
-    User-level closures capture a single flat frame containing exactly the
-    free variables of their lambda (see :func:`make_closure`),
-    except for closures installed by top-level definitions, which keep the
-    global environment as their parent so that (mutually) recursive
-    definitions resolve by late binding.
+    On all three evaluators a function value closes over one flat frame
+    holding exactly the free variables of its lambda (see
+    :func:`make_closure`), except for the closures installed by top-level
+    definitions, which close over the global environment itself so that
+    (mutually) recursive definitions resolve by late binding.  Only the
+    environments of a running evaluation have parents; pipeline A's
+    continuation records and pipeline B's continuation and restart
+    closures keep such environments until a capture copies them flat, so
+    no capsule holds an environment with a parent.
     """
 
     __slots__ = ("frame", "parent")

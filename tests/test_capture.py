@@ -16,7 +16,8 @@ At each point p the tests compare three captures on each pipeline:
   makes it.
 
 Both pipelines capture by the same rule (a captured record or closure
-holds exactly the free variables of what it will still evaluate), so A's
+holds exactly the free variables of what it will still evaluate, in one
+parentless frame), so no capsule holds an environment with a parent, A's
 and B's capsules hold the same number of leaves, and checkpointed runs
 keep the same number of tape cells live on both.
 """
@@ -69,12 +70,17 @@ def leaf_labels(v) -> list:
 
 
 def captures(P, f, x, p):
-    """The three captures of point ``p``, each as its leaf labels."""
+    """The three captures of point ``p``."""
     k = max(1, p - 37)
-    return [leaf_labels(z) for z in (
-        P.interrupt(f, x, p),
-        P.interrupt(P.make_R(), P.interrupt(f, x, k), p - k),
-        P.apply(P.make_I(f, p), x))]
+    return (P.interrupt(f, x, p),
+            P.interrupt(P.make_R(), P.interrupt(f, x, k), p - k),
+            P.apply(P.make_I(f, p), x))
+
+
+def is_flat(z) -> bool:
+    """No environment in capsule ``z`` has a parent."""
+    return all(node.parent is None for node in collect_leaves(z).nodes
+               if type(node) is Env)
 
 
 def function_and_input(program, pipeline):
@@ -84,14 +90,17 @@ def function_and_input(program, pipeline):
 
 
 def check_points(program, points):
-    """At every point, the three captures agree on each pipeline, and A's
-    capsule holds as many leaves as B's.  Returns the leaf counts."""
+    """At every point, each capture is flat, the three captures agree on
+    each pipeline, and A's capsule holds as many leaves as B's.  Returns
+    the leaf counts."""
     counts = {}
     for pipeline in ("a", "b"):
         P, f, x = function_and_input(program, pipeline)
         counts[pipeline] = []
         for p in points:
-            straight, resumed, wrapped = captures(P, f, x, p)
+            zs = captures(P, f, x, p)
+            assert all(map(is_flat, zs)), (pipeline, p)
+            straight, resumed, wrapped = map(leaf_labels, zs)
             assert resumed == straight, (pipeline, p)
             assert wrapped == straight, (pipeline, p)
             counts[pipeline].append(len(straight))

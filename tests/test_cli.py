@@ -9,7 +9,10 @@ import pytest
 from click.testing import CliRunner
 
 from ckad.cli import format_value, main
+from ckad.direct import run_program_direct
+from ckad.errors import ArithmeticEvalError
 from ckad.metrics import CSV_COLUMNS
+from ckad.parser import parse_program
 from ckad.values import EMPTY, Pair
 
 from conftest import CORPUS_DIR
@@ -89,6 +92,24 @@ def test_run_reports_evaluation_errors(runner, tmp_path):
     res = invoke(runner, "run", str(bad))
     assert res.exit_code == 1
     assert "error" in res.output
+
+
+INF = "(* 1e300 1e300)"
+
+
+@pytest.mark.parametrize("src", [f"(sin {INF})", f"(floor (- {INF} {INF}))",
+                                 f"(floor {INF})"])
+def test_run_reports_primitives_of_infinities_and_nans(runner, tmp_path,
+                                                        src):
+    # an error line and exit code 1 on each pipeline, not a traceback
+    bad = tmp_path / "bad.cvl"
+    bad.write_text(src)
+    for pipeline in ("a", "b"):
+        res = invoke(runner, "run", str(bad), "--pipeline", pipeline)
+        assert res.exit_code == 1
+        assert res.output.startswith("error: ")
+    with pytest.raises(ArithmeticEvalError):
+        run_program_direct(parse_program(src))
 
 
 def test_run_reports_too_deep_nesting(runner, tmp_path):

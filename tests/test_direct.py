@@ -125,15 +125,23 @@ def test_an_unbound_name_fails_where_it_is_read(pipeline):
     (define (f x) (* (sin (sin (sin (sin (sin x))))) (if (< x 0.0) (g x) x)))
     (car (checkpoint-*j f 1.3 1.0))""")
     read = parse_program("((lambda (f) (f 1.0)) (lambda (x) y))")
+    # a function value closes over a top-level name's value when it is
+    # made, so a name defined only later is unbound in it
+    late = parse_program("""
+    (define h ((lambda (u) (lambda (x) (g (+ x u)))) 1.0))
+    (define (g x) (* x 2.0))
+    (h 3.0)""")
     if pipeline == "direct":
         values = [run_program_direct(p) for p in (made, captured)]
-        with pytest.raises(UnboundVariableError):
-            run_program_direct(read)
+        for p in (read, late):
+            with pytest.raises(UnboundVariableError):
+                run_program_direct(p)
     else:
         config = RunConfig(alpha=MIN_ALPHA)  # splits inside the left factor
         values = [run_value(p, config, pipeline) for p in (made, captured)]
-        with pytest.raises(UnboundVariableError):
-            run_value(read, config, pipeline)
+        for p in (read, late):
+            with pytest.raises(UnboundVariableError):
+                run_value(p, config, pipeline)
     left = 1.3
     for _ in range(5):
         left = math.sin(left)

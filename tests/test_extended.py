@@ -1,5 +1,5 @@
 """Pipeline B (converted code on the direct extended evaluator): parity
-with pipeline A, interruption behaviour, and capsule canonicalization.
+with pipeline A, interruption behaviour, and the capture rule.
 
 The host-interface tests both pipelines share are in test_cps.py."""
 

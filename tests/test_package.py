@@ -1,6 +1,7 @@
-"""The package's import surface: what importing a pipeline loads, and the
-names ``ckad`` re-exports."""
+"""The package's import surface: what importing a pipeline loads, the
+names ``ckad`` re-exports, and no module importing a name it never uses."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -30,3 +31,30 @@ def test_importing_the_pipelines_loads_only_what_they_use():
     loaded, count = out.stdout.split("\n")[:2]
     assert loaded == "-"
     assert int(count) == len(ckad.__all__)
+
+
+def imported_names(tree) -> set:
+    """The names a module's imports bind, but for ``from __future__``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.asname or alias.name.split(".")[0]
+                         for alias in node.names)
+        elif (isinstance(node, ast.ImportFrom)
+              and node.module != "__future__"):
+            names.update(alias.asname or alias.name for alias in node.names)
+    return names
+
+
+def test_every_imported_name_is_used():
+    unused = {}
+    for path in sorted(Path(ckad.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        # a name read only inside a string annotation counts as unused:
+        # with ``from __future__ import annotations`` none needs quoting
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        names = imported_names(tree) - used
+        if names:
+            unused[path.name] = sorted(names)
+    assert unused == {}
