@@ -19,6 +19,9 @@ fields that hold sub-expressions and ``BINDS`` the parameter fields of a
 lambda.  :func:`free_variables` walks either family through them and
 caches each node's result in its ``fvs`` slot (set from the start on
 variables and constants, computed on first use for the rest).
+``Lambda3`` and ``Lambda4`` also have a ``code`` slot, where pipeline B
+keeps the lambda's compiled body from its first call on (see
+:mod:`ckad.extended`); it is None until then.
 """
 
 from __future__ import annotations
@@ -184,7 +187,7 @@ class Resume(Expr):
 class Lambda3(Expr):
     """A continuation lambda binding (count, limit, value)."""
 
-    __slots__ = ("n", "l", "x", "body")
+    __slots__ = ("n", "l", "x", "body", "code")
     TAG = T_LAMBDA3
     EXPRS = ("body",)
     BINDS = ("n", "l", "x")
@@ -195,12 +198,13 @@ class Lambda3(Expr):
         self.x = x
         self.body = body
         self.fvs = None
+        self.code = None
 
 
 class Lambda4(Expr):
     """A converted function lambda binding (continuation, count, limit, value)."""
 
-    __slots__ = ("k", "n", "l", "x", "body", "n_offset")
+    __slots__ = ("k", "n", "l", "x", "body", "n_offset", "code")
     TAG = T_LAMBDA4
     EXPRS = ("body",)
     BINDS = ("k", "n", "l", "x")
@@ -213,6 +217,7 @@ class Lambda4(Expr):
         self.x = x
         self.body = body
         self.fvs = None
+        self.code = None
         # Restart closures built by the limit check bind the count
         # variable to (supplied count - n_offset) so that the counts the
         # body derives restart from the supplied count (see convert._wrap).

@@ -11,6 +11,7 @@ import pytest
 import ckad
 from ckad.ast import CheckpointReverseJ, ForwardJ, ReverseJ, Binary
 from ckad.cps import CpsMachine
+from ckad.direct import run_program_direct
 from ckad.drivers import RunConfig
 from ckad.extended import ExtendedMachine
 from ckad.parser import Program, parse_program
@@ -61,6 +62,10 @@ def make_machine(pipeline: str, config: RunConfig | None = None):
 
 def run_value(program: Program, config: RunConfig | None = None,
               pipeline: str = "a"):
+    """The value of ``program`` on pipeline "a" or "b", or on the
+    reference evaluator ("direct", which takes no config)."""
+    if pipeline == "direct":
+        return run_program_direct(program)
     value, _count = make_machine(pipeline, config).run_program(program)
     return value
 

@@ -97,12 +97,16 @@ def test_let_and_let_star():
     assert run(src) == 1.0
 
 
-def test_if_requires_boolean():
-    with pytest.raises(EvalError):
-        run("(if 1.0 2.0 3.0)")
+PIPELINES = ["direct", "a", "b"]
 
 
-@pytest.mark.parametrize("pipeline", ["direct", "a", "b"])
+@pytest.mark.parametrize("pipeline", PIPELINES)
+def test_if_requires_boolean(pipeline):
+    with pytest.raises(EvalError, match="if condition must be a boolean"):
+        run_value(parse_program("(if 1.0 2.0 3.0)"), pipeline=pipeline)
+
+
+@pytest.mark.parametrize("pipeline", PIPELINES)
 def test_error_message_formats_a_deep_list(pipeline):
     # the message shows the 1500-element list; formatting it must not
     # recurse
@@ -110,13 +114,10 @@ def test_error_message_formats_a_deep_list(pipeline):
     (define (mk n) (if (zero? n) nil (cons n (mk (- n 1.0)))))
     (if (mk 1500.0) 1.0 2.0)""")
     with pytest.raises(EvalError, match="if condition must be a boolean"):
-        if pipeline == "direct":
-            run_program_direct(program)
-        else:
-            run_value(program, pipeline=pipeline)
+        run_value(program, pipeline=pipeline)
 
 
-@pytest.mark.parametrize("pipeline", ["direct", "a", "b"])
+@pytest.mark.parametrize("pipeline", PIPELINES)
 def test_an_unbound_name_fails_where_it_is_read(pipeline):
     # a closure over a name bound nowhere is made, as is a capture whose
     # pending branch names it; only reading the name fails
@@ -131,24 +132,22 @@ def test_an_unbound_name_fails_where_it_is_read(pipeline):
     (define h ((lambda (u) (lambda (x) (g (+ x u)))) 1.0))
     (define (g x) (* x 2.0))
     (h 3.0)""")
-    if pipeline == "direct":
-        values = [run_program_direct(p) for p in (made, captured)]
-        for p in (read, late):
-            with pytest.raises(UnboundVariableError):
-                run_program_direct(p)
-    else:
-        config = RunConfig(alpha=MIN_ALPHA)  # splits inside the left factor
-        values = [run_value(p, config, pipeline) for p in (made, captured)]
-        for p in (read, late):
-            with pytest.raises(UnboundVariableError):
-                run_value(p, config, pipeline)
+    config = RunConfig(alpha=MIN_ALPHA)  # splits inside the left factor
+    values = [run_value(p, config, pipeline) for p in (made, captured)]
+    for p in (read, late):
+        with pytest.raises(UnboundVariableError):
+            run_value(p, config, pipeline)
     left = 1.3
     for _ in range(5):
         left = math.sin(left)
     assert values == [1.0, left * 1.3]
 
 
-def test_runtime_errors():
+@pytest.mark.parametrize("pipeline", PIPELINES)
+def test_runtime_errors(pipeline):
+    def run(src):
+        return run_value(parse_program(src), pipeline=pipeline)
+
     with pytest.raises(UnboundVariableError):
         run("missing")
     with pytest.raises(NotAFunctionError):

@@ -4,6 +4,7 @@ with pipeline A, interruption behaviour, and the capture rule.
 The host-interface tests both pipelines share are in test_cps.py."""
 
 import random
+import sys
 
 import pytest
 
@@ -159,3 +160,47 @@ def test_binomial_checkpoint_regression_medium_benchmark():
                     criterion=FixedSpace(3), alpha=64)
     got = ExtendedMachine(cfg).run_program(load_corpus("bench_4_64"))[0]
     assert bitwise_equal(got, ref)
+
+
+def python_calls(machine, program) -> int:
+    """The Python-level calls of a second run of ``program``, after one
+    that has loaded and cached what a run may need."""
+    machine.run_program(program)
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event == "call":
+            count += 1
+
+    sys.setprofile(profile)
+    try:
+        machine.run_program(program)
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+@pytest.mark.parametrize("name", ["loop_trig", "bench_2_8", "list_sum"])
+def test_pipeline_b_makes_at_most_three_times_a_s_calls(name):
+    # an exact count, so a slower layer shows here at any machine load:
+    # the interpretive evaluator made 5.4-6.0 times A's calls
+    a = python_calls(CpsMachine(RunConfig()), load_corpus(name))
+    b = python_calls(ExtendedMachine(RunConfig()), load_corpus(name))
+    assert b <= 3 * a, (name, a, b)
+
+
+def test_a_function_compiles_on_its_first_call_only():
+    m = ExtendedMachine(RunConfig(mode="reverse"))
+    program = parse_program("""
+    (define (unused x) (* x 2.0))
+    (define (used x) (+ x 1.0))
+    (cons unused (used 1.0))""")
+    pair, _ = m.run_program(program)
+    lam = pair.car.lam
+    assert lam.code is None
+    assert m.apply(pair.car, 3.0) == 6.0
+    code = lam.code
+    assert code is not None
+    assert m.apply(pair.car, 4.0) == 8.0
+    assert lam.code is code

@@ -4,7 +4,8 @@ The test suite itself does not raise the limit, but a child process makes
 sure no earlier import or test did: it asserts the default of 1000 and
 then runs values whose structure is deeper than that through the
 checkpointing drivers and through reverse mode, and programs nested
-nearly as deep as the parser allows through every pipeline.
+nearly as deep as the parser allows through every pipeline, also
+interrupted and resumed at points inside them.
 """
 
 import os
@@ -78,6 +79,18 @@ for source in (f"((lambda (x) {body}) 1.0)", right, left):
     for machine in (CpsMachine, ExtendedMachine):
         value, _n = machine(RunConfig()).run_program(program)
         assert value == DEPTH + 1.0, machine.__name__
+
+# interrupted and resumed inside the left-nested sum's chain of limit
+# checks, whose restart bodies enter the chain partway
+program = parse_program(f"(lambda (x) {left.replace('1.0', 'x', 1)})")
+for machine in (CpsMachine, ExtendedMachine):
+    m = machine(RunConfig())
+    f, _n = m.run_program(program)
+    L = m.primops(f, 1.0)
+    for l in (1, 500, 994, L - 1):
+        value = m.resume(m.interrupt(f, 1.0, l))
+        assert value == DEPTH + 1.0, (machine.__name__, l)
+        assert m.steps == L - l, (machine.__name__, l, m.steps)
 print("ok")
 """
 
