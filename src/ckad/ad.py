@@ -180,48 +180,20 @@ def deep_primal(v):
 
 
 # ---------------------------------------------------------------------------
-# primitive numeric operations on plain doubles
+# the primitive table
 # ---------------------------------------------------------------------------
-
-def _prim_sqrt(x):
-    if x < 0.0:
-        raise ArithmeticEvalError(f"sqrt of negative number: {x}")
-    return math.sqrt(x)
-
-
-def _prim_log(x):
-    if x <= 0.0:
-        raise ArithmeticEvalError(f"log of non-positive number: {x}")
-    return math.log(x)
-
-
-def _prim_div(a, b):
-    if b == 0.0:
-        raise ArithmeticEvalError("division by zero")
-    return a / b
-
-
-_PRIM_UNARY = {
-    "sqrt": _prim_sqrt,
-    "sin": math.sin,
-    "cos": math.cos,
-    "exp": math.exp,
-    "log": _prim_log,
-    "atan": math.atan,
-    "floor": lambda x: float(math.floor(x)),
-}
-
-_PRIM_BINARY = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
-    "/": _prim_div,
-}
-
-
-# ---------------------------------------------------------------------------
-# lifted arithmetic
-# ---------------------------------------------------------------------------
+# Each operator of the language maps to one function of its operands
+# (``UNARY`` and ``BINARY``).  An arithmetic one tests, in this order:
+#
+# * float operands: the plain float operation;
+# * the first-order taped case: every AD operand is a TapeCell with a float
+#   primal, all at one level; the result is recorded on that level's tape
+#   by :func:`_record`, with float partials;
+# * otherwise the general lifted path, which dispatches on the deepest
+#   level present (a cell of a shallower level is a constant there).
+#
+# The evaluators look an operator's function up once: A and B when they
+# compile a node, direct when it evaluates one.
 
 # the tape of each open reverse level, keyed by level
 _registries: dict = {}
@@ -254,6 +226,197 @@ def _record(primal, level, a, da, b, db):
     return TapeCell(primal, len(starts) - 1, tape, level)
 
 
+def _unary(op, prim, partial):
+    """The table function of unary arithmetic ``op``: ``prim`` on a float,
+    and ``partial(x, y)`` the derivative at float ``x`` given ``y =
+    prim(x)``, by the float operations of :func:`_d_unary`."""
+
+    def fn(v):
+        if type(v) is float:
+            try:
+                return prim(v)
+            except (ValueError, OverflowError):
+                # exp of a large number, or sin, cos or floor of an
+                # infinity or NaN
+                raise ArithmeticEvalError(
+                    f"{op} undefined or out of range at {v}") from None
+        if type(v) is TapeCell:
+            x = v.primal
+            if type(x) is float:
+                y = fn(x)
+                return _record(y, v.level, v, partial(x, y), None, 0.0)
+        return _lift_unary(op, v)
+    return fn
+
+
+def _sqrt(x):
+    if x < 0.0:
+        raise ArithmeticEvalError(f"sqrt of negative number: {x}")
+    return math.sqrt(x)
+
+
+def _log(x):
+    if x <= 0.0:
+        raise ArithmeticEvalError(f"log of non-positive number: {x}")
+    return math.log(x)
+
+
+def _first_order(op, a, b, partials):
+    """``op`` on ``a`` and ``b`` when at least one is not a float: the
+    first-order taped case with ``partials(pa, pb)`` giving the primal and
+    both float partials, else the general lifted path."""
+    ta = type(a)
+    tb = type(b)
+    if ta is TapeCell:
+        level = a.level
+        pa = a.primal
+        if tb is TapeCell and b.level == level:
+            pb = b.primal
+        elif tb is float:
+            pb = b
+        else:
+            return _lift_binary(op, a, b)
+    elif ta is float and tb is TapeCell:
+        level = b.level
+        pa = a
+        pb = b.primal
+    else:
+        return _lift_binary(op, a, b)
+    if type(pa) is not float or type(pb) is not float:
+        return _lift_binary(op, a, b)
+    primal, da, db = partials(pa, pb)
+    # _record, for float partials
+    tape = _registries.get(level)
+    if tape is None:
+        return primal
+    starts = tape.starts
+    parents = tape.parents
+    starts.append(len(parents))
+    if ta is TapeCell and a.tape is tape and da != 0.0:
+        parents.append(a.index)
+        tape.partials.append(da)
+    if tb is TapeCell and b.tape is tape and db != 0.0:
+        parents.append(b.index)
+        tape.partials.append(db)
+    return TapeCell(primal, len(starts) - 1, tape, level)
+
+
+def _add(a, b):
+    if type(a) is float and type(b) is float:
+        return a + b
+    return _first_order("+", a, b, _add_partials)
+
+
+def _sub(a, b):
+    if type(a) is float and type(b) is float:
+        return a - b
+    return _first_order("-", a, b, _sub_partials)
+
+
+def _mul(a, b):
+    if type(a) is float and type(b) is float:
+        return a * b
+    return _first_order("*", a, b, _mul_partials)
+
+
+def _div(a, b):
+    if type(a) is float and type(b) is float:
+        if b == 0.0:
+            raise ArithmeticEvalError("division by zero")
+        return a / b
+    return _first_order("/", a, b, _div_partials)
+
+
+# the primal and both partials of a first-order taped operation, by the
+# float operations of _d_binary
+def _add_partials(a, b):
+    return a + b, 1.0, 1.0
+
+
+def _sub_partials(a, b):
+    return a - b, 1.0, -1.0
+
+
+def _mul_partials(a, b):
+    return a * b, b, a
+
+
+def _div_partials(a, b):
+    q = _div(a, b)
+    return q, 1.0 / b, 0.0 - q / b
+
+
+def _lt(a, b):
+    if type(a) is float and type(b) is float:
+        return a < b
+    return deep_primal(a) < deep_primal(b)
+
+
+def _le(a, b):
+    if type(a) is float and type(b) is float:
+        return a <= b
+    return deep_primal(a) <= deep_primal(b)
+
+
+def _eq(a, b):
+    if type(a) is float and type(b) is float:
+        return a == b
+    return deep_primal(a) == deep_primal(b)
+
+
+def _car(v):
+    if type(v) is not Pair:
+        raise EvalError(f"car of a non-pair: {v!r}")
+    return v.car
+
+
+def _cdr(v):
+    if type(v) is not Pair:
+        raise EvalError(f"cdr of a non-pair: {v!r}")
+    return v.cdr
+
+
+UNARY = {
+    "sqrt": _unary("sqrt", _sqrt, lambda x, y: _div(0.5, y)),
+    "sin": _unary("sin", math.sin, lambda x, y: math.cos(x)),
+    "cos": _unary("cos", math.cos, lambda x, y: 0.0 - math.sin(x)),
+    "exp": _unary("exp", math.exp, lambda x, y: y),
+    "log": _unary("log", _log, lambda x, y: 1.0 / x),
+    "atan": _unary("atan", math.atan, lambda x, y: 1.0 / (1.0 + x * x)),
+    "floor": _unary("floor", lambda x: float(math.floor(x)),
+                    lambda x, y: 0.0),
+    "zero?": lambda v: deep_primal(v) == 0.0,
+    "null?": lambda v: v is EMPTY,
+    "car": _car,
+    "cdr": _cdr,
+}
+
+BINARY = {
+    "+": _add,
+    "-": _sub,
+    "*": _mul,
+    "/": _div,
+    "<": _lt,
+    "<=": _le,
+    "=": _eq,
+    "cons": Pair,
+}
+
+
+# ---------------------------------------------------------------------------
+# lifted arithmetic: the general path
+# ---------------------------------------------------------------------------
+
+def lift_unary(op, v):
+    """Unary arithmetic ``op`` on any numeric value."""
+    return UNARY[op](v)
+
+
+def lift_binary(op, a, b):
+    """Binary arithmetic ``op`` on any numeric values."""
+    return BINARY[op](a, b)
+
+
 def _d_unary(op, x):
     """Local derivative of a unary primitive at (possibly lifted) x."""
     if op == "sqrt":
@@ -269,56 +432,27 @@ def _d_unary(op, x):
     if op == "atan":
         return lift_binary("/", 1.0,
                            lift_binary("+", 1.0, lift_binary("*", x, x)))
-    if op == "floor":
-        return 0.0
-    raise EvalError(f"unknown unary operator: {op}")
+    return 0.0  # floor
 
 
-# _d_unary on a float x, given y = op(x): the same float operations
-_D_UNARY_FLOAT = {
-    "sqrt": lambda x, y: _prim_div(0.5, y),
-    "sin": lambda x, y: math.cos(x),
-    "cos": lambda x, y: 0.0 - math.sin(x),
-    "exp": lambda x, y: y,
-    "log": lambda x, y: 1.0 / x,
-    "atan": lambda x, y: 1.0 / (1.0 + x * x),
-    "floor": lambda x, y: 0.0,
-}
-
-
-def lift_unary(op, v):
+def _lift_unary(op, v):
     t = type(v)
     if t is TapeCell:
         x = v.primal
-        primal = lift_unary(op, x)
-        if type(x) is float:
-            partial = _D_UNARY_FLOAT[op](x, primal)
-        else:
-            partial = _d_unary(op, x)
-        return _record(primal, v.level, v, partial, None, 0.0)
+        return _record(lift_unary(op, x), v.level, v, _d_unary(op, x),
+                       None, 0.0)
     if t is Dual:
         primal = lift_unary(op, v.primal)
         tangent = lift_binary("*", _d_unary(op, v.primal), v.tangent)
         return Dual(primal, tangent, v.level)
-    fn = _PRIM_UNARY.get(op)
-    if fn is None:
-        raise EvalError(f"unknown unary operator: {op}")
-    try:
-        return fn(float(v))
-    except (ValueError, OverflowError):
-        # exp of a large number, or sin, cos or floor of an infinity or NaN
-        raise ArithmeticEvalError(
-            f"{op} undefined or out of range at {v}") from None
+    return UNARY[op](float(v))
 
 
-def lift_binary(op, a, b):
+def _lift_binary(op, a, b):
     a_ad = isinstance(a, _AD)
     b_ad = isinstance(b, _AD)
     if not a_ad and not b_ad:
-        fn = _PRIM_BINARY.get(op)
-        if fn is None:
-            raise EvalError(f"unknown binary operator: {op}")
-        return fn(float(a), float(b))
+        return BINARY[op](float(a), float(b))
     la = a.level if a_ad else 0
     lb = b.level if b_ad else 0
     level = la if la >= lb else lb
@@ -326,45 +460,21 @@ def lift_binary(op, a, b):
     b_top = b_ad and lb == level
     pa = a.primal if a_top else a
     pb = b.primal if b_top else b
-    top = a if a_top else b
-    if type(top) is Dual:
-        primal = lift_binary(op, pa, pb)
-        da, db = _d_binary(op, pa, pb)
-        tangent = 0.0
-        if a_top:
-            if type(a) is not Dual:
-                raise EvalError("mixed perturbation and tape at one level")
-            tangent = lift_binary("*", da, a.tangent)
-        if b_top:
-            if type(b) is not Dual:
-                raise EvalError("mixed perturbation and tape at one level")
-            tb = lift_binary("*", db, b.tangent)
-            tangent = lift_binary("+", tangent, tb) if a_top else tb
-        return Dual(primal, tangent, level)
-    # a tape cell at the top level
-    if type(pa) is float and type(pb) is float:
-        # first order: _d_binary's float operations, inline
-        if op == "*":
-            primal = pa * pb
-            da = pb
-            db = pa
-        elif op == "+":
-            primal = pa + pb
-            da = db = 1.0
-        elif op == "-":
-            primal = pa - pb
-            da = 1.0
-            db = -1.0
-        elif op == "/":
-            primal = _prim_div(pa, pb)
-            da = 1.0 / pb
-            db = 0.0 - primal / pb
-        else:
-            raise EvalError(f"unknown binary operator: {op}")
-    else:
-        primal = lift_binary(op, pa, pb)
-        da, db = _d_binary(op, pa, pb)
-    return _record(primal, level, a, da, b, db)
+    primal = lift_binary(op, pa, pb)
+    da, db = _d_binary(op, pa, pb)
+    if type(a if a_top else b) is TapeCell:
+        return _record(primal, level, a, da, b, db)
+    tangent = 0.0
+    if a_top:
+        if type(a) is not Dual:
+            raise EvalError("mixed perturbation and tape at one level")
+        tangent = lift_binary("*", da, a.tangent)
+    if b_top:
+        if type(b) is not Dual:
+            raise EvalError("mixed perturbation and tape at one level")
+        tb = lift_binary("*", db, b.tangent)
+        tangent = lift_binary("+", tangent, tb) if a_top else tb
+    return Dual(primal, tangent, level)
 
 
 def _d_binary(op, a, b):
@@ -374,48 +484,9 @@ def _d_binary(op, a, b):
         return 1.0, -1.0
     if op == "*":
         return b, a
-    if op == "/":
-        inv = lift_binary("/", 1.0, b)
-        return inv, lift_binary("-", 0.0,
-                                lift_binary("/", lift_binary("/", a, b), b))
-    raise EvalError(f"unknown binary operator: {op}")
-
-
-def apply_unary(op, v):
-    """A unary primitive of the language on any value."""
-    if op in _PRIM_UNARY:
-        return lift_unary(op, v)
-    if op == "zero?":
-        return deep_primal(v) == 0.0
-    if op == "null?":
-        return v is EMPTY
-    if op == "car":
-        if type(v) is not Pair:
-            raise EvalError(f"car of a non-pair: {v!r}")
-        return v.car
-    if op == "cdr":
-        if type(v) is not Pair:
-            raise EvalError(f"cdr of a non-pair: {v!r}")
-        return v.cdr
-    raise EvalError(f"unknown unary operator: {op}")
-
-
-_COMPARISONS = frozenset(["<", "<=", "="])
-
-
-def apply_binary(op, a, b):
-    """A binary primitive of the language on any values."""
-    if op == "cons":
-        return Pair(a, b)
-    if op in _COMPARISONS:
-        pa = deep_primal(a)
-        pb = deep_primal(b)
-        if op == "<":
-            return pa < pb
-        if op == "<=":
-            return pa <= pb
-        return pa == pb
-    return lift_binary(op, a, b)
+    inv = lift_binary("/", 1.0, b)  # "/"
+    return inv, lift_binary("-", 0.0,
+                            lift_binary("/", lift_binary("/", a, b), b))
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,11 @@ fields that hold sub-expressions and ``BINDS`` the parameter fields of a
 lambda.  :func:`free_variables` walks either family through them and
 caches each node's result in its ``fvs`` slot (set from the start on
 variables and constants, computed on first use for the rest).
-``Lambda3`` and ``Lambda4`` also have a ``code`` slot, where pipeline B
-keeps the lambda's compiled body from its first call on (see
-:mod:`ckad.extended`); it is None until then.
+Every node also has a ``code`` slot, None until an evaluator compiles
+the node: pipeline A keeps a source node's compiled form there from its
+first evaluation on (see :mod:`ckad.cps`), and pipeline B a ``Lambda3``
+or ``Lambda4``'s compiled body from its first call on (see
+:mod:`ckad.extended`).
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ T_HOSTOP = 17
 
 
 class Expr:
-    __slots__ = ("fvs",)
+    __slots__ = ("fvs", "code")
     EXPRS = ()
     BINDS = ()
 
@@ -62,6 +64,7 @@ class Const(Expr):
     def __init__(self, value):
         self.value = value
         self.fvs = ()
+        self.code = None
 
 
 class Var(Expr):
@@ -71,6 +74,7 @@ class Var(Expr):
     def __init__(self, name: str):
         self.name = name
         self.fvs = (name,)
+        self.code = None
 
 
 class Lambda(Expr):
@@ -83,6 +87,7 @@ class Lambda(Expr):
         self.param = param
         self.body = body
         self.fvs = None
+        self.code = None
 
 
 class App(Expr):
@@ -94,6 +99,7 @@ class App(Expr):
         self.fn = fn
         self.arg = arg
         self.fvs = None
+        self.code = None
 
 
 class If(Expr):
@@ -106,6 +112,7 @@ class If(Expr):
         self.then = then
         self.alt = alt
         self.fvs = None
+        self.code = None
 
 
 class Unary(Expr):
@@ -117,6 +124,7 @@ class Unary(Expr):
         self.op = op
         self.arg = arg
         self.fvs = None
+        self.code = None
 
 
 class Binary(Expr):
@@ -129,6 +137,7 @@ class Binary(Expr):
         self.left = left
         self.right = right
         self.fvs = None
+        self.code = None
 
 
 class _TripleForm(Expr):
@@ -140,6 +149,7 @@ class _TripleForm(Expr):
         self.e2 = e2
         self.e3 = e3
         self.fvs = None
+        self.code = None
 
 
 class ForwardJ(_TripleForm):
@@ -180,6 +190,7 @@ class Resume(Expr):
     def __init__(self, arg: Expr):
         self.arg = arg
         self.fvs = None
+        self.code = None
 
 
 # -- converted form --------------------------------------------------------
@@ -187,7 +198,7 @@ class Resume(Expr):
 class Lambda3(Expr):
     """A continuation lambda binding (count, limit, value)."""
 
-    __slots__ = ("n", "l", "x", "body", "code")
+    __slots__ = ("n", "l", "x", "body")
     TAG = T_LAMBDA3
     EXPRS = ("body",)
     BINDS = ("n", "l", "x")
@@ -204,7 +215,7 @@ class Lambda3(Expr):
 class Lambda4(Expr):
     """A converted function lambda binding (continuation, count, limit, value)."""
 
-    __slots__ = ("k", "n", "l", "x", "body", "n_offset", "code")
+    __slots__ = ("k", "n", "l", "x", "body", "n_offset")
     TAG = T_LAMBDA4
     EXPRS = ("body",)
     BINDS = ("k", "n", "l", "x")
@@ -235,6 +246,7 @@ class App3(Expr):
         self.l = l
         self.arg = arg
         self.fvs = None
+        self.code = None
 
 
 class App4(Expr):
@@ -249,6 +261,7 @@ class App4(Expr):
         self.l = l
         self.arg = arg
         self.fvs = None
+        self.code = None
 
 
 class LimitCheck(Expr):
@@ -273,6 +286,7 @@ class LimitCheck(Expr):
         self.body = body
         self.relam = relam
         self.fvs = None
+        self.code = None
 
 
 class HostOp(Expr):
@@ -290,6 +304,7 @@ class HostOp(Expr):
         self.e2 = e2
         self.e3 = e3
         self.fvs = None
+        self.code = None
 
 
 # -- free variables ---------------------------------------------------------

@@ -30,7 +30,14 @@ Step accounting (checked by the tests):
   limit, and contribute nothing to the outer count;
 * an interrupted run restarts its count at zero, so the steps needed to
   finish a computation after an interruption at budget ``l`` are exactly
-  ``total - l``.
+  ``total - l``;
+* in bulk: a node's compiled form (see "compiled forms" below) takes
+  ``size`` steps with no limit check that could fire between them, so when
+  the limit is INFINITY or ``n + size <= l`` the machine runs the form and
+  adds ``size`` to the count once.  Otherwise the limit falls inside the
+  form, and the machine takes the node alone, with its continuation
+  record, as an interpreter would; so runs stop at the same points, with
+  the same records, however much of them ran compiled.
 
 :class:`Machine` implements the host entry points the drivers and the AD
 operators call (``apply``, ``primops``, ``interrupt``, ``resume``,
@@ -41,11 +48,13 @@ runners each pipeline supplies: :class:`CpsMachine` here and
 
 from __future__ import annotations
 
+from types import FunctionType
+
 from .ast import (Interrupt, Lambda, Resume, T_APP, T_BINARY,
                   T_CHECKPOINT_J, T_CONST, T_FORWARD_J, T_IF, T_INTERRUPT,
                   T_LAMBDA, T_REVERSE_J, T_RESUME, T_UNARY, T_VAR, Var,
                   free_variables)
-from .ad import apply_binary, apply_unary, forward_j, reverse_j
+from .ad import BINARY, UNARY, forward_j, reverse_j
 from .errors import EvalError, NotAFunctionError, RanToCompletionError
 from .parser import Program
 from .values import (BOTTOM, INFINITY, Capsule, Closure, Env, Pair,
@@ -244,6 +253,134 @@ def _capture(k, e, env) -> Capsule:
     return Capsule(k, make_closure(Lambda(_IGNORED, e), env))
 
 
+# -- compiled forms ------------------------------------------------------------
+# A source node's compiled form is made on its first evaluation and kept on
+# the node (``code``), as a tuple ``(kind, size, x, y)``.  ``size`` is the
+# number of steps the form takes, all before the next limit check that
+# could fire: the machine runs the form when the limit is INFINITY or
+# ``n + size <= l``, adds ``size`` to the count once, and otherwise takes
+# the node alone (Proebsting's superoperators, "Optimizing an ANSI C
+# interpreter with superoperators", 1995, with a block's steps added in
+# one sum).
+#
+# * _STRETCH: a subtree of only Var, Const, Lambda, Unary and Binary nodes,
+#   at most _DEPTH deep: ``x(env)`` is its value, evaluated left to right
+#   by one generated Python function, and ``size`` its node count;
+# * _APP: an application of a stretch to a stretch, ``x`` and ``y``: the
+#   machine enters the function's body with no KArg or KApply record;
+# * _IF: an if with stretch condition ``x``: it takes the branch with no
+#   KIf record;
+# * _BIN: a binary node with stretch left operand ``x``: it pushes KBin2
+#   with no KBin1;
+# * _NODE (kind 0): every other node.
+#
+# A deeper stretch-shaped subtree's root is not a stretch, so neither
+# compiling nor running a stretch recurses past _DEPTH.
+
+_NODE = (0, 1, None, None)
+_STRETCH = 1
+_APP = 2
+_IF = 3
+_BIN = 4
+_DEPTH = 16
+
+
+def _source(e, names, depth):
+    """The node count of stretch ``e`` and a Python expression of its
+    value in ``env`` (whose frame is ``fr`` and whose parent's frame, or
+    ``fr`` again, is ``up``), or None if ``e`` is not a stretch at most
+    ``depth`` deep.  The objects the expression refers to are bound in
+    ``names``."""
+    tag = e.TAG
+    if tag == T_VAR:
+        name = bind(names, e.name)
+        return 1, (f"(fr[{name}] if {name} in fr else up[{name}] "
+                   f"if {name} in up else env.lookup({name}))")
+    if tag == T_CONST:
+        # Copy float literals so object identity over numbers always
+        # means dataflow sharing (the reverse sweep relies on this);
+        # float() would hand back the same object.
+        value = bind(names, e.value)
+        return 1, f"({value} * 1.0)" if type(e.value) is float else value
+    if tag == T_LAMBDA:
+        return 1, f"make_closure({bind(names, e)}, env)"
+    if depth == 1 or (tag != T_UNARY and tag != T_BINARY):
+        return None
+    if tag == T_UNARY:
+        fn = bind(names, UNARY[e.op])
+        arg = _source(e.arg, names, depth - 1)
+        return arg and (1 + arg[0], f"{fn}({arg[1]})")
+    fn = bind(names, BINARY[e.op])
+    left = _source(e.left, names, depth - 1)
+    right = left and _source(e.right, names, depth - 1)
+    return right and (1 + left[0] + right[0], f"{fn}({left[1]}, {right[1]})")
+
+
+_GENERATED = {}  # the code object of each generated source text
+
+
+def bind(names, obj) -> str:
+    """A fresh name for ``obj`` in ``names``."""
+    name = f"_{len(names)}"
+    names[name] = obj
+    return name
+
+
+def generate(source, names):
+    """The function ``f`` that ``source`` defines, with the objects in
+    ``names`` as its globals.  Generated code refers by a bound name to
+    everything that differs from site to site, so a source text depends
+    only on the shape of what it compiles, and compiles once."""
+    code = _GENERATED.get(source)
+    if code is None:
+        exec(compile(source, "<generated>", "exec"), names)
+        code = _GENERATED[source] = names["f"].__code__
+    # each function runs its own copy of the code, so that the
+    # interpreter's specialisations of its global reads are its own
+    return FunctionType(code.replace(), names)
+
+
+def _stretch(e):
+    """``e``'s compiled form if it is a stretch, else None."""
+    code = e.code
+    if code is not None:
+        return code if code[0] == _STRETCH else None
+    names = {"make_closure": make_closure}
+    part = _source(e, names, _DEPTH)
+    if part is None:
+        return None
+    fn = generate("def f(env):\n"
+                  "    fr = env.frame\n"
+                  "    up = env.parent\n"
+                  "    up = fr if up is None else up.frame\n"
+                  f"    return {part[1]}\n", names)
+    e.code = code = (_STRETCH, part[0], fn, None)
+    return code
+
+
+def _compile(e):
+    """``e``'s compiled form, made and kept on the node."""
+    code = _stretch(e)
+    if code is None:
+        code = _NODE
+        tag = e.TAG
+        if tag == T_APP:
+            fn = _stretch(e.fn)
+            arg = fn and _stretch(e.arg)
+            if arg:
+                code = (_APP, 1 + fn[1] + arg[1], fn[2], arg[2])
+        elif tag == T_IF:
+            cond = _stretch(e.cond)
+            if cond:
+                code = (_IF, 1 + cond[1], cond[2], None)
+        elif tag == T_BINARY:
+            left = _stretch(e.left)
+            if left:
+                code = (_BIN, 1 + left[1], left[2], None)
+        e.code = code
+    return code
+
+
 def host_ad(machine, form, f, x, sensitivity):
     """Apply the AD operator with source tag ``form`` to ``f`` at ``x``;
     the host-level glue both pipelines share."""
@@ -345,63 +482,68 @@ class CpsMachine(Machine):
             # ---- evaluate e in env: the limit check comes first
             if n == l:
                 return _capture(k, e, env)
-            tag = e.TAG
-            if tag == T_VAR:
-                val = env.lookup(e.name)
-                n += 1
-            elif tag == T_CONST:
-                val = e.value
-                # Copy float literals so object identity over numbers
-                # always means dataflow sharing (the reverse sweep relies
-                # on this); float() would hand back the same object.
-                if type(val) is float:
-                    val = val * 1.0
-                n += 1
-            elif tag == T_APP:
-                k = KArg(e.arg, env, k)
-                e = e.fn
-                n += 1
-                continue
-            elif tag == T_BINARY:
-                k = KBin1(e.op, e.right, env, k)
-                e = e.left
-                n += 1
-                continue
-            elif tag == T_IF:
-                k = KIf(e.then, e.alt, env, k)
-                e = e.cond
-                n += 1
-                continue
-            elif tag == T_UNARY:
-                k = KUnary(e.op, k)
-                e = e.arg
-                n += 1
-                continue
-            elif tag == T_LAMBDA:
-                val = make_closure(e, env)
-                n += 1
-            elif tag in (T_FORWARD_J, T_REVERSE_J, T_CHECKPOINT_J,
-                         T_INTERRUPT):
-                k = KAd1(tag, e.e2, e.e3, env, k)
-                e = e.e1
-                n += 1
-                continue
-            elif tag == T_RESUME:
-                k = KResume(k)
-                e = e.arg
-                n += 1
-                continue
+            kind, size, x, y = e.code or _compile(e)
+            if kind and (l is INFINITY or n + size <= l):
+                # no limit check inside e's compiled form can fire
+                n += size
+                if kind == _STRETCH:
+                    val = x(env)
+                elif kind == _APP:
+                    f2 = x(env)
+                    val = y(env)
+                    if type(f2) is not Closure or f2.lam.TAG != T_LAMBDA:
+                        raise NotAFunctionError(f"not a function: {f2!r}")
+                    env = f2.env.extend(f2.lam.param, val)
+                    e = f2.lam.body
+                    continue
+                elif kind == _IF:
+                    val = x(env)
+                    if val is True:
+                        e = e.then
+                    elif val is False:
+                        e = e.alt
+                    else:
+                        raise EvalError(
+                            f"if condition must be a boolean, got {val!r}")
+                    continue
+                else:  # _BIN
+                    k = KBin2(e.op, x(env), k)
+                    e = e.right
+                    continue
             else:
-                raise EvalError(
-                    f"the CPS evaluator cannot handle node tag {tag}")
+                # one node: a limit check may fire inside e
+                tag = e.TAG
+                n += 1
+                if tag == T_APP:
+                    k = KArg(e.arg, env, k)
+                    e = e.fn
+                elif tag == T_BINARY:
+                    k = KBin1(e.op, e.right, env, k)
+                    e = e.left
+                elif tag == T_IF:
+                    k = KIf(e.then, e.alt, env, k)
+                    e = e.cond
+                elif tag == T_UNARY:
+                    k = KUnary(e.op, k)
+                    e = e.arg
+                elif tag in (T_FORWARD_J, T_REVERSE_J, T_CHECKPOINT_J,
+                             T_INTERRUPT):
+                    k = KAd1(tag, e.e2, e.e3, env, k)
+                    e = e.e1
+                elif tag == T_RESUME:
+                    k = KResume(k)
+                    e = e.arg
+                else:
+                    raise EvalError(
+                        f"the CPS evaluator cannot handle node tag {tag}")
+                continue
             # ---- deliver val to k
             while True:
                 kt = k.TAG
                 if kt == 1:  # KArg
-                    f2 = val
                     e = k.e
                     env = k.env
-                    k = KApply(f2, k.k)
+                    k = KApply(val, k.k)
                     break
                 if kt == 2:  # KApply
                     f2 = k.f
@@ -417,7 +559,7 @@ class CpsMachine(Machine):
                     k = KBin2(k.op, val, k.k)
                     break
                 if kt == 6:  # KBin2
-                    val = apply_binary(k.op, k.left, val)
+                    val = BINARY[k.op](k.left, val)
                     k = k.k
                     continue
                 if kt == 3:  # KIf
@@ -432,7 +574,7 @@ class CpsMachine(Machine):
                     k = k.k
                     break
                 if kt == 4:  # KUnary
-                    val = apply_unary(k.op, val)
+                    val = UNARY[k.op](val)
                     k = k.k
                     continue
                 if kt == 7:  # KAd1

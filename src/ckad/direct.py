@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from .ast import (T_APP, T_BINARY, T_CHECKPOINT_J, T_CONST, T_FORWARD_J,
                   T_IF, T_LAMBDA, T_REVERSE_J, T_UNARY, T_VAR)
-from .ad import apply_binary, apply_unary, forward_j, reverse_j
+from .ad import BINARY, UNARY, forward_j, reverse_j
 from .errors import EvalError, NotAFunctionError
 from .parser import Program
 from .values import Closure, Env, Pair, make_closure
@@ -69,10 +69,10 @@ def eval_direct(e, env: Env, counter: StepCounter | None = None):
                 push((_OP_IF, expr.then, expr.alt, scope))
                 push((_OP_EV, expr.cond, scope))
             elif tag == T_UNARY:
-                push((_OP_UNARY, expr.op))
+                push((_OP_UNARY, UNARY[expr.op]))
                 push((_OP_EV, expr.arg, scope))
             elif tag == T_BINARY:
-                push((_OP_BINARY, expr.op))
+                push((_OP_BINARY, BINARY[expr.op]))
                 push((_OP_EV, expr.right, scope))
                 push((_OP_EV, expr.left, scope))
             elif tag in (T_FORWARD_J, T_REVERSE_J, T_CHECKPOINT_J):
@@ -100,11 +100,11 @@ def eval_direct(e, env: Env, counter: StepCounter | None = None):
                 raise EvalError(f"if condition must be a boolean, got {c!r}")
         elif op == _OP_UNARY:
             v = vals.pop()
-            vals.append(apply_unary(item[1], v))
+            vals.append(item[1](v))
         elif op == _OP_BINARY:
             b = vals.pop()
             a = vals.pop()
-            vals.append(apply_binary(item[1], a, b))
+            vals.append(item[1](a, b))
         else:  # _OP_AD
             v3 = vals.pop()
             v2 = vals.pop()

@@ -16,12 +16,18 @@ for code generation", 1987):
   run ends at a terminal operand or a limit check packages a capsule;
 * :meth:`ExtendedMachine._run` is the trampoline over those pairs.
 
+An operand, and a redex (a continuation lambda applied where it is
+written) together with its limit checks and its operand, compile to one
+generated Python function each (:func:`ckad.cps.generate`), so reading a
+variable or applying a primitive within one costs no call of its own.
+
 A lambda's body compiles on its first call and is kept on the
 ``Lambda3``/``Lambda4`` node (``code``), as the node's free variables are
 (``fvs``); the body's operands and limit checks compile with it, but no
-lambda nested in it.  The top-level expressions compile once each, as
-they run.  Nothing compiles at conversion, and a function that is never
-called never compiles.  Each limit check reads the count and the limit
+lambda nested in it.  A program converts on its first run, and its
+top-level expressions compile then; both are kept with the program.
+Nothing compiles at conversion, and a function that is never called
+never compiles.  Each limit check reads the count and the limit
 from the current frame, which binds them in every converted lambda.  A
 left-nested source expression nests limit checks directly in each other,
 as deep as the source; such a chain compiles with a loop into one
@@ -46,12 +52,12 @@ drivers run unchanged on either pipeline.
 from __future__ import annotations
 
 from .ast import (T_APP3, T_APP4, T_BINARY, T_CONST, T_HOSTOP, T_IF,
-                  T_INTERRUPT, T_LAMBDA3, T_LAMBDA4, T_LIMIT, T_RESUME,
-                  T_UNARY, T_VAR, Lambda3, Var)
-from .ad import apply_binary, apply_unary
+                  T_INTERRUPT, T_LAMBDA, T_LAMBDA3, T_LAMBDA4, T_LIMIT,
+                  T_RESUME, T_UNARY, T_VAR, Lambda3, Lambda4, Var)
+from .ad import BINARY, UNARY
 from .convert import (I_LAMBDA4, K, L, N, R_LAMBDA4, _Gensym, convert_lambda,
                       convert_top)
-from .cps import Machine, host_ad
+from .cps import Machine, bind, generate, host_ad
 from .errors import EvalError, NotAFunctionError
 from .parser import Program
 from .values import BOTTOM, INFINITY, Capsule, Closure, Env, make_closure
@@ -120,42 +126,53 @@ def _count(n_expr) -> int:
     return n_expr.right.value if n_expr.TAG == T_BINARY else 0
 
 
+def _generate(lines, names):
+    """One generated function ``(machine, env)`` with body ``lines``, which
+    read the current frame as ``fr`` and the objects in ``names``."""
+    return generate("def f(m, env):\n    fr = env.frame\n"
+                    + "".join(f"    {line}\n" for line in lines), names)
+
+
 def _operand(e, own):
+    """Compile operand ``e`` into one generated function."""
+    names = dict(_NAMES)
+    return _generate([f"return {_operand_source(e, own, names)}"], names)
+
+
+def _operand_source(e, own, names):
+    """A Python expression of operand ``e``'s value in ``env``, whose
+    frame is ``fr``; the objects it refers to are bound in ``names``.
+    Operands nest at most two deep: a primitive or an AD operator over
+    variables."""
     tag = e.TAG
     if tag == T_VAR:
-        name = e.name
-        if name in own:
-            return lambda m, env: env.frame[name]
+        name = bind(names, e.name)
+        if e.name in own:
+            return f"fr[{name}]"
         # a free variable of the lambda: start at its closure's frame
-        return lambda m, env: env.parent.lookup(name)
+        return (f"(env.parent.frame[{name}] if {name} in env.parent.frame "
+                f"else env.parent.lookup({name}))")
     if tag == T_CONST:
-        v = e.value
-        if type(v) is float:
-            # Copy float literals so object identity over numbers always
-            # means dataflow sharing (the reverse sweep relies on this);
-            # float() would hand back the same object, arithmetic won't.
-            return lambda m, env: v * 1.0
-        return lambda m, env: v
+        # Copy float literals so object identity over numbers always
+        # means dataflow sharing (the reverse sweep relies on this);
+        # float() would hand back the same object, arithmetic won't.
+        value = bind(names, e.value)
+        return f"({value} * 1.0)" if type(e.value) is float else value
     if tag == T_LAMBDA3:
-        return lambda m, env: Closure(e, env)
+        return f"Closure({bind(names, e)}, env)"
     if tag == T_LAMBDA4:
-        return lambda m, env: make_closure(e, env)
+        return f"make_closure({bind(names, e)}, env)"
     if tag == T_UNARY:
-        op = e.op
-        arg = _operand(e.arg, own)
-        return lambda m, env: apply_unary(op, arg(m, env))
+        fn = bind(names, UNARY[e.op])
+        return f"{fn}({_operand_source(e.arg, own, names)})"
     if tag == T_BINARY:
-        op = e.op
-        a = _operand(e.left, own)
-        b = _operand(e.right, own)
-        return lambda m, env: apply_binary(op, a(m, env), b(m, env))
+        fn = bind(names, BINARY[e.op])
+        return (f"{fn}({_operand_source(e.left, own, names)}, "
+                f"{_operand_source(e.right, own, names)})")
     if tag == T_HOSTOP:
-        form = e.form
-        a = _operand(e.e1, own)
-        b = _operand(e.e2, own)
-        c = _operand(e.e3, own)
-        return lambda m, env: host_ad(m, form, a(m, env), b(m, env),
-                                      c(m, env))
+        parts = ", ".join(_operand_source(part, own, names)
+                          for part in (e.e1, e.e2, e.e3))
+        return f"host_ad(m, {bind(names, e.form)}, {parts})"
     raise EvalError(f"unexpected node in operand position: tag {tag}")
 
 
@@ -166,44 +183,47 @@ def _tail(e, own):
     a left-nested source expression; it compiles with a loop, into one
     function.  The checks of a chain read one frame and have distinct
     count offsets, so the one that fires, if any, is the one whose offset
-    is the limit minus the count."""
+    is the limit minus the count.  A redex compiles into the same
+    function as its checks, its operand inline."""
     checks = []
     while e.TAG == T_LIMIT:
         checks.append(e)
         e = e.body
-    body = _TAIL.get(e.TAG, _terminal)(e, own)
-    if not checks:
-        return body
-    at = {_count(c.n_expr): i for i, c in enumerate(checks)}
-    ks = [_operand(c.k_expr, own) for c in checks]
-
-    def limit(m, env):
-        frame = env.frame
-        l = frame[L]
-        if l is not INFINITY:
-            i = at.get(l - frame[N])
-            if i is not None:
-                return None, _canonical(ks[i](m, env),
-                                        Closure(checks[i].relam, env))
-        return body(m, env)
-    return limit
+    names = dict(_NAMES, own=own)
+    lines = []
+    if checks:
+        names["at"] = {_count(c.n_expr): c for c in checks}
+        lines += ["l = fr[L]",
+                  "if l is not INFINITY:",
+                  "    c = at.get(l - fr[N])",
+                  "    if c is not None:",
+                  "        return None, canonical(operand(c.k_expr, own)"
+                  "(m, env), Closure(c.relam, env))"]
+    lam = e.fn if e.TAG == T_APP3 else None
+    if lam is not None and lam.TAG == T_LAMBDA3:
+        # a redex: the continuation is applied where it is written, so its
+        # frame's parent is this one, and no closure is made
+        names["lam"] = lam
+        arg = _operand_source(e.arg, own, names)
+        lines.append(
+            f"return lam.code or compile(lam), Env({{"
+            f"{bind(names, lam.n)}: fr[N] + {bind(names, _count(e.n))}, "
+            f"{bind(names, lam.l)}: fr[L], {bind(names, lam.x)}: {arg}}}, "
+            "env)")
+    else:
+        body = _TAIL.get(e.TAG, _terminal)(e, own)
+        if not checks:
+            return body
+        names["body"] = body
+        lines.append("return body(m, env)")
+    return _generate(lines, names)
 
 
 def _app3(e, own):
+    # the continuation is a value (a redex compiles in _tail)
     c = _count(e.n)
     arg = _operand(e.arg, own)
-    lam = e.fn
-    if lam.TAG == T_LAMBDA3:
-        # a redex: the continuation is applied where it is written, so its
-        # frame's parent is this one, and no closure is made
-        n, l, x = lam.n, lam.l, lam.x
-
-        def redex(m, env):
-            frame = env.frame
-            return lam.code or _compile(lam), Env(
-                {n: frame[N] + c, l: frame[L], x: arg(m, env)}, env)
-        return redex
-    fn = _operand(lam, own)
+    fn = _operand(e.fn, own)
 
     def app3(m, env):
         f = fn(m, env)
@@ -299,6 +319,11 @@ def _terminal(e, own):
 
 _TAIL = {T_APP3: _app3, T_APP4: _app4, T_IF: _if, T_INTERRUPT: _interrupt,
          T_RESUME: _resume}
+# what generated code refers to by name
+_NAMES = {"Closure": Closure, "Env": Env, "INFINITY": INFINITY, "L": L,
+          "N": N, "canonical": _canonical, "compile": _compile,
+          "host_ad": host_ad, "make_closure": make_closure,
+          "operand": _operand}
 
 
 class ExtendedMachine(Machine):
@@ -328,24 +353,38 @@ class ExtendedMachine(Machine):
 
     # -- whole programs --------------------------------------------------------------
 
-    def _run_top(self, expr, genv, gensym):
-        converted = convert_top(expr, gensym)
+    def _run_top(self, code, genv):
         env = Env({K: K3_VALUE, N: 0, L: INFINITY}, genv)
-        res = self._run(_tail(converted, (K, N, L)), env)
+        res = self._run(code, env)
         if type(res) is Capsule:
             raise EvalError("top-level expression interrupted itself")
         return res
 
     def run_program(self, program: Program):
-        """Evaluate a program body; returns (value, step_count)."""
-        gensym = _Gensym()
+        """Evaluate a program body; returns (value, step_count).
+
+        The program is converted on its first run, and its top-level
+        expressions compiled; both are kept with it, so a later run
+        converts and compiles nothing again.  Gensym names restart per
+        program, so a kept conversion names what a fresh one would."""
+        if program.converted is None:
+            gensym = _Gensym()
+
+            def top(expr):
+                return _tail(convert_top(expr, gensym), (K, N, L))
+            program.converted = (
+                [(name, convert_lambda(expr, gensym)
+                  if expr.TAG == T_LAMBDA else top(expr))
+                 for name, expr in program.defines],
+                None if program.body is None else top(program.body))
+        defines, body = program.converted
         genv = Env({}, None)
-        for name, expr in program.defines:
-            if expr.TAG == 2:  # T_LAMBDA
-                genv.frame[name] = Closure(convert_lambda(expr, gensym), genv)
+        for name, part in defines:
+            if type(part) is Lambda4:
+                genv.frame[name] = Closure(part, genv)
             else:
-                genv.frame[name] = self._run_top(expr, genv, gensym)
-        if program.body is None:
+                genv.frame[name] = self._run_top(part, genv)
+        if body is None:
             raise EvalError("program has no body expression")
-        value = self._run_top(program.body, genv, gensym)
+        value = self._run_top(body, genv)
         return value, self.steps

@@ -40,6 +40,9 @@ RESERVED = frozenset(
 class Program:
     defines: list = field(default_factory=list)  # list of (name, Expr)
     body: Expr | None = None
+    # pipeline B's converted definitions and compiled top-level
+    # expressions, kept from the program's first run on
+    converted: tuple | None = field(default=None, repr=False, compare=False)
 
 
 # -- tokenizer ---------------------------------------------------------------

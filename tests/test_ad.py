@@ -9,14 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ckad import ad
-from ckad.ad import (Dual, FlatSensitivity, bundle, collect_leaves,
-                     forward_j, lift_binary, lift_unary, map_structure,
-                     reverse_j, unbundle)
+from ckad.ad import (Dual, FlatSensitivity, TapeCell, bundle,
+                     collect_leaves, forward_j, lift_binary, lift_unary,
+                     map_structure, reverse_j, unbundle)
 from ckad.bench import BenchmarkParams, build_example_program
 from ckad.cps import CpsMachine
 from ckad.direct import run_program_direct
 from ckad.drivers import RunConfig
-from ckad.errors import CotangentShapeError, EvalError
+from ckad.errors import ArithmeticEvalError, CotangentShapeError, EvalError
 from ckad.metrics import METER
 from ckad.parser import parse_program
 from ckad.values import EMPTY, Env, Pair
@@ -593,3 +593,251 @@ def test_tape_gives_the_reference_tapes_cotangent_bits(dag, ybar, v):
     assert rr == outcome(lambda: ref_reverse(
         lambda cells: weighted_sum(
             ref_op, ref_reverse(f_ref, cells, ybar)), xs, 1.0))
+
+
+# -- the primitive table against the lifted operations it replaced ----------
+# A reference copy of the operator dispatch as it was before the table:
+# apply_unary/apply_binary's string tests in front of lift_unary/lift_binary,
+# with the first-order taped case inline in lift_binary, recording by a copy
+# of _record on the package's own tapes.
+
+def ref_record(primal, level, a, da, b, db):
+    tape = ad._registries.get(level)
+    if tape is None:
+        return primal
+    starts, parents, partials = tape.starts, tape.parents, tape.partials
+    starts.append(len(parents))
+    for v, d in ((a, da), (b, db)):
+        if (type(v) is TapeCell and v.tape is tape
+                and (type(d) is not float or d != 0.0)):
+            if type(d) is not float and type(partials) is not list:
+                partials = tape.partials = partials.tolist()
+            parents.append(v.index)
+            partials.append(d)
+    return TapeCell(primal, len(starts) - 1, tape, level)
+
+
+REF_PRIM_UNARY = {
+    "sqrt": lambda x: ref_fail("sqrt of negative number: {}", x, x < 0.0)
+    or math.sqrt(x),
+    "sin": math.sin, "cos": math.cos, "exp": math.exp,
+    "log": lambda x: ref_fail("log of non-positive number: {}", x, x <= 0.0)
+    or math.log(x),
+    "atan": math.atan, "floor": lambda x: float(math.floor(x)),
+}
+
+
+def ref_fail(message, x, failed):
+    if failed:
+        raise ArithmeticEvalError(message.format(x))
+
+
+def ref_div(a, b):
+    if b == 0.0:
+        raise ArithmeticEvalError("division by zero")
+    return a / b
+
+
+def ref_d_unary(op, x):
+    return {"sqrt": lambda: ref_lift_binary(
+                "/", 0.5, ref_lift_unary("sqrt", x)),
+            "sin": lambda: ref_lift_unary("cos", x),
+            "cos": lambda: ref_lift_binary(
+                "-", 0.0, ref_lift_unary("sin", x)),
+            "exp": lambda: ref_lift_unary("exp", x),
+            "log": lambda: ref_lift_binary("/", 1.0, x),
+            "atan": lambda: ref_lift_binary("/", 1.0, ref_lift_binary(
+                "+", 1.0, ref_lift_binary("*", x, x))),
+            "floor": lambda: 0.0}[op]()
+
+
+def ref_d_unary_float(op, x, y):
+    return {"sqrt": lambda: ref_div(0.5, y), "sin": lambda: math.cos(x),
+            "cos": lambda: 0.0 - math.sin(x), "exp": lambda: y,
+            "log": lambda: 1.0 / x,
+            "atan": lambda: 1.0 / (1.0 + x * x), "floor": lambda: 0.0}[op]()
+
+
+def ref_lift_unary(op, v):
+    t = type(v)
+    if t is TapeCell:
+        x = v.primal
+        primal = ref_lift_unary(op, x)
+        partial = (ref_d_unary_float(op, x, primal) if type(x) is float
+                   else ref_d_unary(op, x))
+        return ref_record(primal, v.level, v, partial, None, 0.0)
+    if t is Dual:
+        primal = ref_lift_unary(op, v.primal)
+        tangent = ref_lift_binary("*", ref_d_unary(op, v.primal), v.tangent)
+        return Dual(primal, tangent, v.level)
+    try:
+        return REF_PRIM_UNARY[op](float(v))
+    except (ValueError, OverflowError):
+        raise ArithmeticEvalError(
+            f"{op} undefined or out of range at {v}") from None
+
+
+def ref_d_binary(op, a, b):
+    if op == "+":
+        return 1.0, 1.0
+    if op == "-":
+        return 1.0, -1.0
+    if op == "*":
+        return b, a
+    return (ref_lift_binary("/", 1.0, b), ref_lift_binary(
+        "-", 0.0, ref_lift_binary("/", ref_lift_binary("/", a, b), b)))
+
+
+def ref_lift_binary(op, a, b):
+    a_ad = isinstance(a, (Dual, TapeCell))
+    b_ad = isinstance(b, (Dual, TapeCell))
+    if not a_ad and not b_ad:
+        a, b = float(a), float(b)
+        return {"+": lambda: a + b, "-": lambda: a - b, "*": lambda: a * b,
+                "/": lambda: ref_div(a, b)}[op]()
+    la = a.level if a_ad else 0
+    lb = b.level if b_ad else 0
+    level = max(la, lb)
+    a_top = a_ad and la == level
+    b_top = b_ad and lb == level
+    pa = a.primal if a_top else a
+    pb = b.primal if b_top else b
+    if type(a if a_top else b) is Dual:
+        primal = ref_lift_binary(op, pa, pb)
+        da, db = ref_d_binary(op, pa, pb)
+        tangent = 0.0
+        if a_top:
+            if type(a) is not Dual:
+                raise EvalError("mixed perturbation and tape at one level")
+            tangent = ref_lift_binary("*", da, a.tangent)
+        if b_top:
+            if type(b) is not Dual:
+                raise EvalError("mixed perturbation and tape at one level")
+            tb = ref_lift_binary("*", db, b.tangent)
+            tangent = ref_lift_binary("+", tangent, tb) if a_top else tb
+        return Dual(primal, tangent, level)
+    if type(pa) is float and type(pb) is float:
+        if op == "/":
+            primal = ref_div(pa, pb)
+            da, db = 1.0 / pb, 0.0 - primal / pb
+        else:
+            primal = ref_lift_binary(op, pa, pb)
+            da, db = ref_d_binary(op, pa, pb)
+    else:
+        primal = ref_lift_binary(op, pa, pb)
+        da, db = ref_d_binary(op, pa, pb)
+    return ref_record(primal, level, a, da, b, db)
+
+
+def ref_apply_unary(op, v):
+    if op in REF_PRIM_UNARY:
+        return ref_lift_unary(op, v)
+    if op == "zero?":
+        return ad.deep_primal(v) == 0.0
+    if op == "null?":
+        return v is EMPTY
+    if type(v) is not Pair:
+        raise EvalError(f"{op} of a non-pair: {v!r}")
+    return v.car if op == "car" else v.cdr
+
+
+def ref_apply_binary(op, a, b):
+    if op == "cons":
+        return Pair(a, b)
+    if op in ("<", "<=", "="):
+        pa, pb = ad.deep_primal(a), ad.deep_primal(b)
+        return pa < pb if op == "<" else pa <= pb if op == "<=" else pa == pb
+    return ref_lift_binary(op, a, b)
+
+
+#: operand cases: what each operand is, and the levels to open first
+#: ("r" a reverse level with a tape, "f" a forward level)
+OPERAND_CASES = {
+    "float, float": ("", "x", "y"),
+    "cell, float": ("r", "c1", "y"),
+    "float, cell": ("r", "x", "c1"),
+    "cell, cell at one level": ("r", "c1", "d1"),
+    "shallower cell under a deeper tape": ("rr", "c1", "d2"),
+    "deeper cell over a shallower one": ("rr", "c2", "d1"),
+    "shallower cell and float under a deeper tape": ("rr", "c1", "y"),
+    "dual, float": ("f", "u1", "y"),
+    "cell under a dual": ("rf", "c1", "u2"),
+    "dual under a cell": ("fr", "u1", "c2"),
+    "cell of a closed tape": ("r", "s1", "y"),
+    "boolean, cell": ("r", "t", "c1"),
+}
+
+
+def describe(v):
+    """A value's types, levels, record indices and float bits."""
+    t = type(v)
+    if t is float:
+        return struct.pack("<d", v)
+    if t is TapeCell:
+        return ("cell", describe(v.primal), v.index, v.level)
+    if t is Dual:
+        return ("dual", describe(v.primal), describe(v.tangent), v.level)
+    if t is Pair:
+        return ("pair", describe(v.car), describe(v.cdr))
+    return repr(v)
+
+
+def outcome_on_tapes(fn, case, x, y):
+    """``fn`` on the operands of ``case`` made from ``x`` and ``y``: the
+    result or error, and every open tape's records."""
+    levels, first, second = OPERAND_CASES[case]
+    tapes = {}
+    for kind in levels:
+        level = ad._enter_level()
+        if kind == "r":
+            tapes[level] = ad._registries[level] = ad.Tape()
+    try:
+        def operand(spec, value):
+            if spec in ("x", "y"):
+                return value * 1.0
+            if spec == "t":
+                return True
+            level = int(spec[1])
+            if spec[0] == "u":
+                return Dual(value * 1.0, 0.5, level)
+            cell = ad._record(value * 1.0, level, None, 0.0, None, 0.0)
+            if spec[0] == "s":  # its level closes and opens again
+                tapes[level] = ad._registries[level] = ad.Tape()
+            return cell
+        try:
+            result = describe(fn(operand(first, x), operand(second, y)))
+        except EvalError as exc:
+            result = (type(exc), str(exc))
+        records = []
+        for tape in tapes.values():
+            partials = tape.partials
+            records.append((list(tape.starts), list(tape.parents),
+                            [describe(p) for p in partials],
+                            type(partials)))
+        return result, records
+    finally:
+        for level in reversed(range(1, ad._level_depth + 1)):
+            ad._registries.pop(level, None)
+            ad._exit_level()
+
+
+TABLE_FLOATS = st.one_of(st.floats(-3.0, 3.0), st.sampled_from(SPECIAL))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(ad.BINARY)), st.sampled_from(
+    sorted(OPERAND_CASES)), TABLE_FLOATS, TABLE_FLOATS)
+def test_binary_table_matches_the_lifted_reference(op, case, x, y):
+    assert (outcome_on_tapes(ad.BINARY[op], case, x, y)
+            == outcome_on_tapes(lambda a, b: ref_apply_binary(op, a, b),
+                                case, x, y))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(ad.UNARY)), st.sampled_from(
+    sorted(OPERAND_CASES)), TABLE_FLOATS)
+def test_unary_table_matches_the_lifted_reference(op, case, x):
+    # the unary operator takes the case's first operand
+    assert (outcome_on_tapes(lambda a, _b: ad.UNARY[op](a), case, x, 0.0)
+            == outcome_on_tapes(lambda a, _b: ref_apply_unary(op, a),
+                                case, x, 0.0))

@@ -30,7 +30,9 @@ from ckad.drivers import RunConfig, parse_criterion
 from ckad.metrics import METER
 from ckad.values import EMPTY, Env, Pair
 
-from conftest import fn_arg_program, load_corpus, make_machine
+from ckad.parser import parse_program
+
+from conftest import bitwise_equal, fn_arg_program, load_corpus, make_machine
 from test_golden import ALPHA, PROGRAMS, SCHEDULES
 
 
@@ -152,3 +154,68 @@ def test_tape_peak_is_the_same_on_both_pipelines(name):
             peaks.append(METER.tape_peak)
         METER.reset()
         assert peaks[0] == peaks[1], (mode, algorithm, split, criterion)
+
+
+# -- every interruption point of compiled code --------------------------------
+# Pipeline A runs a stretch of Var, Const, Lambda, Unary and Binary nodes as
+# one compiled expression, and some App, If and Binary nodes without their
+# continuation records, whenever the limit cannot fall inside; otherwise it
+# takes one node at a time.  Interrupting at every point checks that both
+# ways stop where the other would: each resumed run gives the straight
+# run's value with L - l steps, and each capsule holds B's number of leaves,
+# reached the same way as by a resumed and a wrapped run.
+
+#: every kind of compiled form, and a stretch-shaped subtree 20 deep, past
+#: the deepest that compiles as one
+WIDE = """
+(define (f x) (if (< x 1.0) (sin x) (f (* x 0.5))))
+(define (g a b) (- (* a b) (f (+ a b))))
+(checkpoint-*j
+  (lambda (p)
+    (+ (* (car p) (cdr p))
+       (+ (f (* (car p) (car p)))
+          (* (g (car p) (cdr p))
+             (+ (exp (cdr p)) {deep})))))
+  (cons 0.7 1.3) 1.0)
+""".format(deep="(+ (car p) " * 20 + "(cdr p)" + ")" * 20)
+
+#: the corpus programs short enough to interrupt at every point
+SHORT = [name for name in PROGRAMS if name not in
+         ("loop_trig", "loop_linear", "bench_2_8")]
+
+
+def check_every_point(program, points=None):
+    a, f, x = function_and_input(program, "a")
+    b, fb, xb = function_and_input(program, "b")
+    y = a.apply(f, x)
+    length = a.primops(f, x)
+    for l in range(length) if points is None else points:
+        z = a.interrupt(f, x, l)
+        labels = leaf_labels(z)
+        assert len(labels) == len(leaf_labels(b.interrupt(fb, xb, l))), l
+        assert leaf_labels(a.apply(a.make_I(f, l), x)) == labels, l
+        if l > 2:
+            # the resume wrapper takes two steps to re-enter the run
+            k = l // 2
+            resumed = a.interrupt(a.make_R(), a.interrupt(f, x, k), l - k)
+            assert leaf_labels(resumed) == labels, l
+        assert bitwise_equal(a.resume(z), y), l
+        assert a.steps == length - l, l
+
+
+def test_every_point_of_a_program_of_every_compiled_form():
+    check_every_point(parse_program(WIDE))
+
+
+@pytest.mark.parametrize("name", SHORT)
+def test_every_point_of_short_corpus_programs(name):
+    check_every_point(load_corpus(name))
+
+
+@pytest.mark.parametrize("name", ["loop_trig", "loop_linear", "bench_2_8"])
+def test_every_point_of_a_window_of_long_corpus_programs(name):
+    # every point of a window of 200 in the middle of the run: a loop body
+    # repeats, so the window holds every position of its compiled forms
+    a, f, x = function_and_input(load_corpus(name), "a")
+    middle = a.primops(f, x) // 2
+    check_every_point(load_corpus(name), range(middle, middle + 200))

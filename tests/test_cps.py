@@ -4,6 +4,7 @@ the host interface, which the host-interface tests check on both
 pipelines."""
 
 import random
+import sys
 
 import pytest
 
@@ -218,3 +219,38 @@ def test_corpus_interrupt_resume_roundtrip(name):
         assert bitwise_equal(m.resume(z), y)
         m.run_apply(z.k, 0, INFINITY, z.f, BOTTOM)
         assert m.steps == L - l
+
+
+def record_constructions(program) -> int:
+    """The KArg, KApply, KIf and KBin1 records a second run of ``program``
+    on pipeline A makes, after one that has compiled what it runs."""
+    from ckad.cps import KApply, KArg, KBin1, KIf
+    kinds = (KArg, KApply, KIf, KBin1)
+    m = machine()
+    m.run_program(program)
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if (event == "call" and frame.f_code.co_name == "__init__"
+                and type(frame.f_locals.get("self")) in kinds):
+            count += 1
+
+    sys.setprofile(profile)
+    try:
+        m.run_program(program)
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+#: the counts of the interpreter that made every node's records
+PER_NODE_RECORDS = {"loop_trig": 8580, "bench_2_8": 11937}
+
+
+@pytest.mark.parametrize("name", sorted(PER_NODE_RECORDS))
+def test_compiled_forms_make_at_most_half_the_records(name):
+    # an exact count: applications of stretches, ifs on stretches and
+    # binary nodes with a stretch on the left make no record
+    made = record_constructions(load_corpus(name))
+    assert made <= PER_NODE_RECORDS[name] // 2, (name, made)

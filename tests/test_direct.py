@@ -158,8 +158,25 @@ def test_runtime_errors(pipeline):
         run("(log 0.0)")
     with pytest.raises(ArithmeticEvalError):
         run("(sqrt -1.0)")
-    with pytest.raises(EvalError):
+    with pytest.raises(EvalError, match="car of a non-pair"):
         run("(car 1.0)")
+    with pytest.raises(EvalError, match="cdr of a non-pair"):
+        run("(cdr 1.0)")
+    with pytest.raises(ArithmeticEvalError, match="exp undefined"):
+        run("(exp 1000.0)")
+    # the same errors on the taped path of the primitive table
+    with pytest.raises(ArithmeticEvalError, match="division by zero"):
+        run("(*j (lambda (x) (/ x 0.0)) 1.0 1.0)")
+    with pytest.raises(ArithmeticEvalError, match="log of non-positive"):
+        run("(*j (lambda (x) (log (- x 1.0))) 1.0 1.0)")
+    with pytest.raises(ArithmeticEvalError, match="sqrt of negative"):
+        run("(*j (lambda (x) (sqrt (- 0.0 x))) 1.0 1.0)")
+    with pytest.raises(ArithmeticEvalError, match="exp undefined"):
+        run("(*j (lambda (x) (exp (* x 1000.0))) 1.0 1.0)")
+    with pytest.raises(EvalError, match="car of a non-pair"):
+        run("(*j (lambda (x) (car x)) 1.0 1.0)")
+    # a boolean operand takes the general path, as a number
+    assert run("(+ (< 1.0 2.0) 1.0)") == 2.0
 
 
 # -- frozen step accounting ----------------------------------------------------

@@ -204,3 +204,27 @@ def test_a_function_compiles_on_its_first_call_only():
     assert code is not None
     assert m.apply(pair.car, 4.0) == 8.0
     assert lam.code is code
+
+
+def test_a_program_converts_once():
+    # a second run converts and compiles nothing again, and gives the same
+    # value and count
+    m = ExtendedMachine(RunConfig(mode="reverse"))
+    program = load_corpus("loop_trig")
+    first = m.run_program(program)
+    converting = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.endswith(
+                "convert.py"):
+            converting.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        second = m.run_program(program)
+    finally:
+        sys.setprofile(None)
+    assert converting == []
+    assert bitwise_equal(second[0], first[0]) and second[1] == first[1]
+    assert ExtendedMachine(RunConfig(mode="reverse")).run_program(
+        load_corpus("loop_trig"))[1] == first[1]

@@ -81,16 +81,20 @@ for source in (f"((lambda (x) {body}) 1.0)", right, left):
         assert value == DEPTH + 1.0, machine.__name__
 
 # interrupted and resumed inside the left-nested sum's chain of limit
-# checks, whose restart bodies enter the chain partway
-program = parse_program(f"(lambda (x) {left.replace('1.0', 'x', 1)})")
-for machine in (CpsMachine, ExtendedMachine):
-    m = machine(RunConfig())
-    f, _n = m.run_program(program)
-    L = m.primops(f, 1.0)
-    for l in (1, 500, 994, L - 1):
-        value = m.resume(m.interrupt(f, 1.0, l))
-        assert value == DEPTH + 1.0, (machine.__name__, l)
-        assert m.steps == L - l, (machine.__name__, l, m.steps)
+# checks, whose restart bodies enter the chain partway, and inside the
+# right-nested sum and the (+ x ...) body, whose subtrees are stretches
+# only from a fixed depth down on pipeline A
+for source in (left.replace("1.0", "x", 1), right.replace("1.0", "x", 1),
+               body):
+    program = parse_program(f"(lambda (x) {source})")
+    for machine in (CpsMachine, ExtendedMachine):
+        m = machine(RunConfig())
+        f, _n = m.run_program(program)
+        L = m.primops(f, 1.0)
+        for l in (1, 500, 994, L - 1):
+            value = m.resume(m.interrupt(f, 1.0, l))
+            assert value == DEPTH + 1.0, (machine.__name__, l)
+            assert m.steps == L - l, (machine.__name__, l, m.steps)
 print("ok")
 """
 
