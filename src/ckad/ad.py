@@ -188,7 +188,7 @@ def deep_primal(v):
 # * float operands: the plain float operation;
 # * the first-order taped case: every AD operand is a TapeCell with a float
 #   primal, all at one level; the result is recorded on that level's tape
-#   by :func:`_record`, with float partials;
+#   as :func:`_record` records it, with float partials;
 # * otherwise the general lifted path, which dispatches on the deepest
 #   level present (a cell of a shallower level is a constant there).
 #
