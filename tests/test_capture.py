@@ -28,9 +28,8 @@ from ckad.ad import Dual, TapeCell, collect_leaves
 from ckad.bench import BenchmarkParams, build_example_program
 from ckad.drivers import RunConfig, parse_criterion
 from ckad.metrics import METER
-from ckad.values import EMPTY, Env, Pair
-
 from ckad.parser import parse_program
+from ckad.values import EMPTY, Env, Pair
 
 from conftest import bitwise_equal, fn_arg_program, load_corpus, make_machine
 from test_golden import ALPHA, PROGRAMS, SCHEDULES
